@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check bench bench-smoke bench-paper benchdiff faultbench serve-smoke gate-smoke stream-smoke quant-parity profile
+.PHONY: build test fmt-check check bench bench-smoke bench-paper benchdiff faultbench serve-smoke gate-smoke stream-smoke quant-parity profile
 
 build:
 	$(GO) build ./...
@@ -10,11 +10,17 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the tier-1 verification gate: static analysis plus the full
-# suite under the race detector (Evaluate fans samples across workers).
-# The simulation-heavy experiments package needs more than go test's
-# default 10m deadline under -race.
+# fmt-check fails when any tracked Go file is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
+
+# check is the tier-1 verification gate: formatting, static analysis,
+# then the full suite under the race detector (Evaluate fans samples
+# across workers). The simulation-heavy experiments package needs more
+# than go test's default 10m deadline under -race.
 check:
+	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./...
 	$(MAKE) quant-parity

@@ -76,10 +76,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "snngate: draining...")
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		g.BeginDrain()          // cancel open streaming relays first:
-		//                         Shutdown waits for active handlers, and
-		//                         a relay only returns when its session
-		//                         ends (clients get retry events)
+		// Cancel open streaming relays first: Shutdown waits for active
+		// handlers, and a relay only returns when its session ends
+		// (clients get retry events).
+		g.BeginDrain()
 		err := hs.Shutdown(ctx) // finish in-flight proxied requests
 		g.Close()
 		done <- err

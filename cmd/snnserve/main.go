@@ -1,9 +1,9 @@
-// Command snnserve exposes spiking models over HTTP with server-side
-// micro-batching (internal/serve): requests queue up to -batch samples
-// or -wait, whichever comes first, and execute as one batched inference
-// — on a single core the batched TTFS engine amortizes scatter address
-// generation across the batch, which is where the throughput win over
-// per-request inference comes from.
+// Command snnserve exposes spiking models over HTTP (internal/serve).
+// Requests queue per model; an idle batch worker takes the first one at
+// once, together with whatever else has queued meanwhile (up to
+// -batch), and runs them as one engine call. With -parallel > 1 the
+// call spreads its samples across cores, one sample per core, so a
+// lone request is never held back and a burst uses every core.
 //
 // One process hosts any number of named models (serve.Registry), each
 // with its own queue, workers, and metrics. -model is repeatable and
@@ -91,13 +91,12 @@ func main() {
 	cache := flag.String("cache", "models", "weight cache directory for dataset builds")
 	scheme := flag.String("scheme", "ttfs", "default serving engine: ttfs|event|rate|phase|burst")
 	steps := flag.Int("steps", 100, "default simulation horizon for non-ttfs schemes")
-	engine := flag.String("engine", "clock", "execution engine for ttfs models: clock (batched reference), event (event-driven with early exit — the latency-mode engine), or quant (fixed-point int8 — the per-core throughput engine)")
-	mode := flag.String("mode", "", "default serving mode: latency (direct single-sample path)|throughput (micro-batching queue); empty routes automatically per request")
+	engine := flag.String("engine", "clock", "execution engine for ttfs models: clock (clocked reference), event (event-driven with early exit — the latency-mode engine), or quant (fixed-point int8 — the per-core throughput engine)")
+	mode := flag.String("mode", "", "default serving mode: latency (direct single-sample path)|throughput (batching queue); empty routes automatically per request")
 	ef := flag.Bool("ef", true, "early firing (ttfs engine)")
 	useGO := flag.Bool("go", false, "apply gradient-based kernel optimization at startup (slower start, better accuracy; dataset builds only)")
 
-	batch := flag.Int("batch", 16, "max samples per dispatched batch (per model)")
-	wait := flag.Duration("wait", 2*time.Millisecond, "max time the first queued request waits for a batch to fill")
+	batch := flag.Int("batch", 16, "max queued samples one batch worker takes at once (per model)")
 	queue := flag.Int("queue", 0, "request queue bound per model (0 = 8x batch); overflow returns 429")
 	workers := flag.Int("workers", 0, "batch executor goroutines per model (0 = GOMAXPROCS; forced to 1 when -parallel engages)")
 	parallel := flag.Int("parallel", 0, "data-parallel workers per batch inference (0 = GOMAXPROCS, 1 = sequential)")
@@ -145,10 +144,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Data-parallel batch execution: a pool shards each micro-batch
+	// Data-parallel batch execution: a pool shards each batch's samples
 	// across cores inside one engine call, so each scheduler needs only
-	// one dispatcher goroutine — more would oversubscribe the cores the
-	// pool already owns.
+	// one batch worker — more would oversubscribe the cores the pool
+	// already owns.
 	pw := *parallel
 	if pw <= 0 {
 		pw = runtime.GOMAXPROCS(0)
@@ -204,7 +203,6 @@ func main() {
 	})
 	opt := serve.Options{
 		MaxBatch:       *batch,
-		MaxWait:        *wait,
 		QueueSize:      *queue,
 		Workers:        *workers,
 		DefaultTimeout: *timeout,
@@ -282,17 +280,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "snnserve: draining...")
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		reg.BeginDrain()        // unblock open streaming sessions first:
-		//                         Shutdown waits for active handlers, and a
-		//                         stream handler only returns once its
-		//                         server signals drain
+		// Unblock open streaming sessions first: Shutdown waits for
+		// active handlers, and a stream handler only returns once its
+		// server signals drain.
+		reg.BeginDrain()
 		err := hs.Shutdown(ctx) // stop accepting, finish in-flight HTTP
 		reg.Close()             // drain every model's batch queue
 		done <- err
 	}()
 
-	fmt.Fprintf(os.Stderr, "snnserve: serving %d model(s) on %s (batch<=%d, wait %s, workers %d, parallel %d, rate %s/client, shed %v)\n",
-		len(specs), *addr, opt.MaxBatch, opt.MaxWait, opt.Workers, pw, rateDesc(*rate), !*noShed)
+	fmt.Fprintf(os.Stderr, "snnserve: serving %d model(s) on %s (batch<=%d, workers %d, parallel %d, rate %s/client, shed %v)\n",
+		len(specs), *addr, opt.MaxBatch, opt.Workers, pw, rateDesc(*rate), !*noShed)
 	for _, d := range descs {
 		fmt.Fprintf(os.Stderr, "snnserve:   %s\n", d)
 	}

@@ -70,9 +70,9 @@ func sameResult(t *testing.T, tag string, got, want Result) {
 	}
 }
 
-// TestInferBatchMatchesInfer pins the serving-layer contract: batched
-// execution is bit-identical to the per-sample reference path, under
-// every pipeline variant and collection flag.
+// TestInferBatchMatchesInfer pins the serving-layer contract: InferMany
+// is bit-identical to the per-sample reference path, under every
+// pipeline variant and collection flag.
 func TestInferBatchMatchesInfer(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -89,18 +89,18 @@ func TestInferBatchMatchesInfer(t *testing.T) {
 		{EarlyFire: true, CollectTimeline: true},
 	}
 	for ci, cfg := range configs {
-		batch := m.InferBatch(inputs, cfg, nil)
+		batch := m.InferMany(inputs, cfg, InferOpts{})
 		if len(batch) != n {
 			t.Fatalf("cfg %d: %d results for %d inputs", ci, len(batch), n)
 		}
 		for i, input := range inputs {
-			sameResult(t, fmt.Sprintf("cfg %d sample %d", ci, i), batch[i], m.Infer(input, cfg))
+			sameResult(t, fmt.Sprintf("cfg %d sample %d", ci, i), batch[i], m.InferOne(input, cfg, InferOpts{}))
 		}
 	}
 }
 
-// Batched execution must route each sample's own fault stream exactly as
-// the per-sample path does.
+// InferMany must route each sample's own fault stream exactly as the
+// per-sample path does.
 func TestInferBatchMatchesInferUnderFaults(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -117,34 +117,18 @@ func TestInferBatchMatchesInferUnderFaults(t *testing.T) {
 	}
 	streams[3] = nil // mixed batch: one sample without injection
 	cfg := RunConfig{EarlyFire: true, CollectTimeline: true}
-	batch := m.InferBatch(inputs, cfg, streams)
+	batch := m.InferMany(inputs, cfg, InferOpts{Faults: streams})
 	for i, input := range inputs {
 		ref := cfg
 		ref.Faults = streams[i]
-		sameResult(t, fmt.Sprintf("faulted sample %d", i), batch[i], m.Infer(input, ref))
-	}
-}
-
-// Chunking must be invisible: a batch larger than the 64-sample mask
-// width produces the same results as the per-sample path.
-func TestInferBatchChunksLargeBatches(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	const n = 70
-	inputs := make([][]float64, n)
-	for i := range inputs {
-		inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
-	}
-	batch := m.InferBatch(inputs, RunConfig{EarlyFire: true}, nil)
-	for _, i := range []int{0, 63, 64, 69} {
-		sameResult(t, fmt.Sprintf("chunked sample %d", i), batch[i], m.Infer(inputs[i], RunConfig{EarlyFire: true}))
+		sameResult(t, fmt.Sprintf("faulted sample %d", i), batch[i], m.InferOne(input, ref, InferOpts{}))
 	}
 }
 
 func TestInferBatchEmptyAndValidation(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
-	if got := m.InferBatch(nil, RunConfig{}, nil); len(got) != 0 {
+	if got := m.InferMany(nil, RunConfig{}, InferOpts{}); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 	defer func() {
@@ -152,10 +136,10 @@ func TestInferBatchEmptyAndValidation(t *testing.T) {
 			t.Fatal("mismatched fault slice accepted")
 		}
 	}()
-	m.InferBatch(make([][]float64, 2), RunConfig{}, make([]*fault.Stream, 3))
+	m.InferMany(make([][]float64, 2), RunConfig{}, InferOpts{Faults: make([]*fault.Stream, 3)})
 }
 
-// BenchmarkInferBatch measures the serial batch path in its serving
+// BenchmarkInferBatch measures the sequential InferMany loop in its serving
 // configuration: scratch and the model's scatter plan warmed before the
 // timer, so allocs/op pins 0 and benchdiff can gate regressions on this
 // path the same way it gates the parallel and event benchmarks.

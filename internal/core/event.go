@@ -40,18 +40,6 @@ func (m *Model) InferEventWith(sc *InferScratch, input []float64, cfg RunConfig)
 	return m.InferOne(input, cfg, InferOpts{Scratch: sc, Engine: EngineEvent})
 }
 
-// inferEvent is the event engine's entry: scratch setup, then the
-// event-driven pipeline.
-func (m *Model) inferEvent(sc *InferScratch, input []float64, cfg RunConfig) Result {
-	if sc == nil {
-		sc = NewInferScratch(m)
-	} else {
-		sc.ensure(m)
-	}
-	sc.reset()
-	return m.inferEventBody(sc, input, cfg)
-}
-
 // inferEventBody runs the event-driven pipeline on a prepared scratch
 // without rewinding its arenas (see inferClockedBody).
 func (m *Model) inferEventBody(sc *InferScratch, input []float64, cfg RunConfig) Result {

@@ -11,8 +11,7 @@ type EngineKind int
 
 const (
 	// EngineClocked sweeps every neuron against the threshold at every
-	// step — the reference engine, and the fastest at batch ≥ 2 where
-	// the scatter-row amortization of the batched pipeline applies.
+	// step — the reference engine the others are pinned against.
 	EngineClocked EngineKind = iota
 	// EngineEvent processes analytically predicted fire events instead
 	// of sweeping steps. Results are bit-identical to EngineClocked
@@ -36,7 +35,7 @@ const (
 // InferOpts carries the execution options shared by every inference
 // entry point: the scratch arena, per-sample fault streams, the worker
 // pool, and the engine choice. The zero value means "fresh scratch, no
-// faults, sequential, clocked" and reproduces Infer/InferBatch exactly.
+// faults, sequential, clocked".
 type InferOpts struct {
 	// Scratch is the reusable working set; results alias it (see
 	// InferScratch). Nil allocates a fresh single-use scratch.
@@ -44,16 +43,31 @@ type InferOpts struct {
 	// Faults holds one per-sample fault stream per input for InferMany
 	// (nil entries inject nothing); nil injects nothing. InferOne takes
 	// its single stream in RunConfig.Faults instead and panics when
-	// this field is set, mirroring the historical InferBatch contract.
+	// this field is set.
 	Faults []*fault.Stream
-	// Pool runs InferMany's batch data-parallel (one chunk per claimed
-	// worker, bit-identical at any worker count). Nil or single-worker
-	// pools run sequentially. Ignored by EngineEvent, whose per-sample
-	// loop exists for verification rather than throughput, and by
-	// InferOne.
+	// Pool runs InferMany's samples data-parallel, one sample per
+	// claimed chunk on per-worker scratches (bit-identical at any worker
+	// count); Scratch is then unused. Nil or single-worker pools run
+	// sequentially. Ignored by InferOne.
 	Pool *Pool
 	// Engine selects the execution engine (default EngineClocked).
 	Engine EngineKind
+}
+
+// engineBody is one engine's per-sample pipeline on a prepared scratch:
+// it neither sizes nor rewinds the scratch, so several samples can run
+// against one scratch with every Result staying valid.
+type engineBody func(m *Model, sc *InferScratch, input []float64, cfg RunConfig) Result
+
+// body returns the engine's per-sample pipeline.
+func (k EngineKind) body() engineBody {
+	switch k {
+	case EngineEvent:
+		return (*Model).inferEventBody
+	case EngineQuant:
+		return (*Model).inferQuantBody
+	}
+	return (*Model).inferClockedBody
 }
 
 // InferOne runs one input (flattened [C,H,W], values in [0,1]) through
@@ -67,27 +81,18 @@ func (m *Model) InferOne(input []float64, cfg RunConfig, opts InferOpts) Result 
 	if opts.Faults != nil {
 		panic("core: InferOne takes the sample's fault stream in cfg.Faults, not opts.Faults")
 	}
-	switch opts.Engine {
-	case EngineEvent:
-		return m.inferEvent(opts.Scratch, input, cfg)
-	case EngineQuant:
-		return m.inferQuant(opts.Scratch, input, cfg)
-	}
-	return m.inferClocked(opts.Scratch, input, cfg)
+	return opts.Engine.body()(m, m.prepare(opts.Scratch), input, cfg)
 }
 
 // InferMany runs a batch of inputs and returns one Result per input,
 // each bit-identical to InferOne(inputs[i], cfg with Faults=faults[i])
-// on the same engine. It is the canonical batch entry point; InferBatch,
-// InferBatchWith, and InferBatchParallel are thin wrappers over it.
+// on the same engine: it is a per-sample loop over the engine's
+// pipeline, with no cross-sample state.
 //
 // Per-sample fault streams travel in opts.Faults (nil, or one entry per
-// input); cfg.Faults must be nil. With EngineClocked a multi-worker
-// opts.Pool shards the batch across workers; EngineEvent and
-// EngineQuant run the samples sequentially on one scratch (per-sample
-// loops — their value is single-sample latency, not pooled batch
-// throughput), ignoring opts.Pool.
-// Results alias the scratch (or pool) arenas per the usual contract.
+// input); cfg.Faults must be nil. A multi-worker opts.Pool shards the
+// samples across its workers. Results alias the scratch (or pool)
+// arenas per the usual contract.
 func (m *Model) InferMany(inputs [][]float64, cfg RunConfig, opts InferOpts) []Result {
 	if cfg.Faults != nil {
 		panic("core: InferMany takes per-sample fault streams in opts.Faults, not cfg.Faults")
@@ -95,35 +100,38 @@ func (m *Model) InferMany(inputs [][]float64, cfg RunConfig, opts InferOpts) []R
 	if opts.Faults != nil && len(opts.Faults) != len(inputs) {
 		panic(fmt.Sprintf("core: %d fault streams for %d inputs", len(opts.Faults), len(inputs)))
 	}
-	if opts.Engine == EngineEvent {
-		return m.inferManyEvent(opts.Scratch, inputs, cfg, opts.Faults)
-	}
-	if opts.Engine == EngineQuant {
-		return m.inferManyQuant(opts.Scratch, inputs, cfg, opts.Faults)
-	}
 	if opts.Pool != nil {
-		return m.inferParallel(opts.Pool, inputs, cfg, opts.Faults)
+		return opts.Pool.inferMany(m, opts.Engine.body(), inputs, cfg, opts.Faults)
 	}
-	return m.inferBatch(opts.Scratch, inputs, cfg, opts.Faults)
+	return m.inferSeq(opts.Scratch, opts.Engine.body(), inputs, cfg, opts.Faults)
 }
 
-// inferManyEvent is the event engine's batch loop: one scratch, one
-// arena rewind, then per-sample event runs whose Results all stay valid
-// until the next top-level call on the scratch.
-func (m *Model) inferManyEvent(sc *InferScratch, inputs [][]float64, cfg RunConfig, faults []*fault.Stream) []Result {
+// prepare sizes sc for m (a nil sc becomes a fresh scratch) and rewinds
+// its result arenas; called once per top-level call on the scratch.
+func (m *Model) prepare(sc *InferScratch) *InferScratch {
 	if sc == nil {
-		sc = NewInferScratch(m)
-	} else {
-		sc.ensure(m)
+		return NewInferScratch(m)
 	}
+	sc.ensure(m)
 	sc.reset()
+	return sc
+}
+
+// inferSeq runs the samples one after another on sc, prepared once so
+// every Result stays valid, into the scratch's result slice.
+func (m *Model) inferSeq(sc *InferScratch, body engineBody, inputs [][]float64, cfg RunConfig, faults []*fault.Stream) []Result {
+	sc = m.prepare(sc)
 	res := sc.takeResults(len(inputs))
-	for i, input := range inputs {
-		c := cfg
-		if faults != nil {
-			c.Faults = faults[i]
-		}
-		res[i] = m.inferEventBody(sc, input, c)
+	for i := range inputs {
+		res[i] = m.inferSample(sc, body, inputs, cfg, faults, i)
 	}
 	return res
+}
+
+// inferSample runs sample i of a batch with its own fault stream.
+func (m *Model) inferSample(sc *InferScratch, body engineBody, inputs [][]float64, cfg RunConfig, faults []*fault.Stream, i int) Result {
+	if faults != nil {
+		cfg.Faults = faults[i]
+	}
+	return body(m, sc, inputs[i], cfg)
 }

@@ -8,34 +8,24 @@ import (
 	"repro/internal/fault"
 )
 
-// minParChunk is the smallest chunk the parallel planner will cut. Below
-// this the per-chunk fixed costs (decode LUT fill, per-offset spike
-// grouping) and the lost scatter-row amortization outweigh what another
-// core can win back.
-const minParChunk = 8
-
-// ParallelOpts tunes the data-parallel batch path (NewPool).
+// ParallelOpts tunes the data-parallel pool (NewPool).
 type ParallelOpts struct {
 	// Workers is the number of pool workers; 0 or negative means one per
 	// GOMAXPROCS.
 	Workers int
-	// MinChunksPerWorker is how many chunks each engaged worker should
-	// get before the planner cuts chunks smaller than the 64-sample mask
-	// width (default 1). Larger values trade scatter-row amortization for
-	// finer work-stealing granularity.
-	MinChunksPerWorker int
 }
 
 // poolCall is one parallel invocation: either a generic index-range
-// function (fn != nil) or a batched inference (m != nil). It is owned by
+// function (fn != nil) or a batch inference (m != nil). It is owned by
 // the pool and reused across calls so the steady-state parallel hot path
 // allocates nothing.
 type poolCall struct {
 	// generic mode
 	fn func(lo, hi, worker int)
 
-	// batch mode
+	// inference mode: one sample per chunk
 	m      *Model
+	body   engineBody
 	inputs [][]float64
 	cfg    RunConfig
 	faults []*fault.Stream
@@ -52,16 +42,17 @@ type poolCall struct {
 	wg sync.WaitGroup
 }
 
-// Pool is a bounded worker pool for data-parallel execution: batched
-// inference sharded at chunk granularity (InferBatchParallel) and
-// generic index-range fan-out (Each, used by Evaluate and the coding
-// sweeps). Each worker owns one InferScratch, so the batched hot path
-// stays at zero steady-state allocations per worker; the shared
-// scatter plan on the model is read lock-free by every worker.
+// Pool is a bounded worker pool for data-parallel execution: batch
+// inference sharded one sample per claimed chunk (InferMany with
+// InferOpts.Pool, on any engine) and generic index-range fan-out (Each,
+// used by Evaluate and the coding sweeps). Each worker owns one
+// InferScratch, so the inference hot path stays at zero steady-state
+// allocations per worker; the shared scatter plans on the model are
+// read lock-free by every worker.
 //
 // Calls are serialized internally (one parallel call runs at a time),
 // so concurrent Each calls are safe: their results flow through fn.
-// Concurrent InferBatchParallel callers need one extra rule — returned
+// Concurrent InferMany callers need one extra rule — returned
 // results alias pool memory and are overwritten by the next call, so
 // callers sharing a pool must consume (copy out of) results under their
 // own lock before another call can start; internal/serve's TTFSEngine
@@ -70,8 +61,7 @@ type poolCall struct {
 //
 // A nil *Pool is accepted everywhere and means "run sequentially".
 type Pool struct {
-	workers   int
-	minChunks int
+	workers int
 
 	mu      sync.Mutex // serializes calls, guards state below
 	started bool
@@ -91,11 +81,7 @@ func NewPool(opts ParallelOpts) *Pool {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	mc := opts.MinChunksPerWorker
-	if mc <= 0 {
-		mc = 1
-	}
-	p := &Pool{workers: w, minChunks: mc}
+	p := &Pool{workers: w}
 	p.scr = make([]*InferScratch, w)
 	for i := range p.scr {
 		p.scr[i] = &InferScratch{}
@@ -170,13 +156,12 @@ func (p *Pool) serve(c *poolCall, wid int) {
 			c.next.Store(int64(c.nChunks)) // cancel remaining chunks
 		}
 	}()
+	var sc *InferScratch
 	if c.fn == nil {
-		// Batched mode: prepare this worker's scratch once per call. The
-		// arena rewinds exactly once, so every chunk this worker claims
-		// lands in fresh arena space.
-		sc := p.scr[wid]
-		sc.ensure(c.m)
-		sc.reset()
+		// Inference mode: prepare this worker's scratch once per call.
+		// The arena rewinds exactly once, so every sample this worker
+		// claims lands in fresh arena space.
+		sc = c.m.prepare(p.scr[wid])
 	}
 	for {
 		i := int(c.next.Add(1)) - 1
@@ -192,13 +177,7 @@ func (p *Pool) serve(c *poolCall, wid int) {
 			c.fn(lo, hi, wid)
 			continue
 		}
-		sc := p.scr[wid]
-		sc.ensureBatch(hi - lo)
-		var fs []*fault.Stream
-		if c.faults != nil {
-			fs = c.faults[lo:hi]
-		}
-		c.m.inferChunk(sc, c.inputs[lo:hi], c.cfg, fs, c.res[lo:hi])
+		c.res[i] = c.m.inferSample(sc, c.body, c.inputs, c.cfg, c.faults, i)
 	}
 }
 
@@ -214,45 +193,17 @@ func (p *Pool) run(w int) {
 	c.wg.Wait()
 	// drop caller references so the pool doesn't pin inputs between calls
 	pv := c.panicVal
-	c.fn, c.m, c.inputs, c.faults, c.res, c.panicVal = nil, nil, nil, nil, nil, nil
+	c.fn, c.m, c.body, c.inputs, c.faults, c.res, c.panicVal = nil, nil, nil, nil, nil, nil, nil
 	if pv != nil {
 		panic(pv)
 	}
 }
 
-// planBatch picks the chunk size and worker count for an n-sample batch.
-// Chunks default to the 64-sample mask width (maximal scatter-row
-// amortization); when that would leave workers idle the planner cuts
-// smaller chunks — chunking is result-invariant (pinned by
-// TestInferBatchChunksLargeBatches), so this only trades amortization
-// for parallelism — with a floor of minParChunk samples.
-func (p *Pool) planBatch(n int) (chunk, workers int) {
-	chunk = maxChunk
-	nChunks := (n + chunk - 1) / chunk
-	w := p.workers
-	if w > 1 && nChunks < w*p.minChunks {
-		chunk = (n + w*p.minChunks - 1) / (w * p.minChunks)
-		if chunk < minParChunk {
-			chunk = minParChunk
-		}
-		if chunk > maxChunk {
-			chunk = maxChunk
-		}
-		nChunks = (n + chunk - 1) / chunk
-	}
-	if w > nChunks {
-		w = nChunks
-	}
-	return chunk, w
-}
-
 // Warm primes every worker's scratch for the given model and batch by
-// running the batch sequentially on each, plus the pool's result
-// backing. A sequential pass covers the buffer needs of any parallel
-// sub-chunk of the same samples (per-offset spike groups over a chunk
-// contain those of its sub-chunks), so after Warm, parallel calls on
-// same-shaped batches start at zero steady-state allocations no matter
-// which worker claims which chunk. snnserve calls this at startup.
+// running the whole batch sequentially (clocked) on each, plus the
+// pool's result backing. A worker can claim any subset of the samples,
+// so after Warm, same-shaped clocked calls start at zero steady-state
+// allocations. snnserve calls this at startup.
 func (p *Pool) Warm(m *Model, inputs [][]float64, cfg RunConfig) {
 	if p == nil {
 		return
@@ -260,7 +211,7 @@ func (p *Pool) Warm(m *Model, inputs [][]float64, cfg RunConfig) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, sc := range p.scr {
-		m.inferBatch(sc, inputs, cfg, nil)
+		m.inferSeq(sc, EngineClocked.body(), inputs, cfg, nil)
 	}
 	p.takeResults(len(inputs))
 }
@@ -312,7 +263,6 @@ func (p *Pool) Each(n, chunk int, fn func(lo, hi, worker int)) {
 	}
 	c := &p.call
 	c.fn = fn
-	c.m, c.inputs, c.faults, c.res = nil, nil, nil, nil
 	c.n, c.chunk, c.nChunks = n, chunk, nChunks
 	c.next.Store(0)
 	p.run(w)
@@ -320,17 +270,9 @@ func (p *Pool) Each(n, chunk int, fn func(lo, hi, worker int)) {
 
 // evalChunk sizes per-sample work-stealing chunks for evaluation-style
 // fan-out: about four chunks per worker keeps stealing effective when
-// per-sample cost varies (early firing, faults), capped at the batch
-// mask width.
+// per-sample cost varies (early firing, faults).
 func evalChunk(n, workers int) int {
-	c := n / (workers * 4)
-	if c < 1 {
-		c = 1
-	}
-	if c > maxChunk {
-		c = maxChunk
-	}
-	return c
+	return max(n/(workers*4), 1)
 }
 
 func eachSeq(n, chunk int, fn func(lo, hi, worker int)) {
@@ -343,50 +285,30 @@ func eachSeq(n, chunk int, fn func(lo, hi, worker int)) {
 	}
 }
 
-// InferBatchParallel is InferBatch sharded across p's workers: the batch
-// is split into chunks (64-sample mask width, cut smaller when needed to
-// engage every worker), each claimed by a worker running the standard
-// chunk pipeline on its own scratch. Results are bit-identical to the
-// sequential path at any worker count: chunking is result-invariant,
-// scratch reuse is bit-exact, and fault streams are pure functions of
-// (seed, sample, …) — no decision depends on execution order. Per-worker
-// scratches make the steady-state call allocation-free.
+// inferMany shards the samples across p's workers, one sample per
+// claimed chunk, each worker on its own scratch. Results are
+// bit-identical to the sequential loop at any worker count: every
+// sample runs the same per-sample pipeline, and fault streams are pure
+// functions of (seed, sample, …), so no decision depends on which
+// worker ran it or when.
 //
-// The returned results alias pool memory: they are valid until the next
-// call on the same pool (copy Spikes/Potentials to retain them). A nil
-// pool falls back to the sequential InferBatch, whose results are
-// freshly allocated.
-//
-// Deprecated: use InferMany with InferOpts{Pool: p, Faults: faults}.
-func (m *Model) InferBatchParallel(p *Pool, inputs [][]float64, cfg RunConfig, faults []*fault.Stream) []Result {
-	return m.InferMany(inputs, cfg, InferOpts{Pool: p, Faults: faults})
-}
-
-// inferParallel shards the batch across p's workers (nil p runs it
-// sequentially on a fresh scratch). Validation happened in InferMany.
-func (m *Model) inferParallel(p *Pool, inputs [][]float64, cfg RunConfig, faults []*fault.Stream) []Result {
-	if p == nil {
-		return m.inferBatch(nil, inputs, cfg, faults)
-	}
+// The returned results alias pool memory: they are valid until the
+// next call on the same pool (copy Spikes/Potentials to retain them).
+func (p *Pool) inferMany(m *Model, body engineBody, inputs [][]float64, cfg RunConfig, faults []*fault.Stream) []Result {
 	n := len(inputs)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	chunk, w := p.planBatch(n)
-	nChunks := 0
-	if chunk > 0 {
-		nChunks = (n + chunk - 1) / chunk
-	}
-	p.chunks.Add(uint64(nChunks))
-	if w <= 1 || p.closed || n == 0 {
+	p.chunks.Add(uint64(n))
+	w := min(p.workers, n)
+	if w <= 1 || p.closed {
 		// Sequential fallback on worker 0's scratch: same zero-alloc
 		// steady state, same aliasing contract.
-		return m.inferBatch(p.scr[0], inputs, cfg, faults)
+		return m.inferSeq(p.scr[0], body, inputs, cfg, faults)
 	}
 	res := p.takeResults(n)
 	c := &p.call
-	c.fn = nil
-	c.m, c.inputs, c.cfg, c.faults, c.res = m, inputs, cfg, faults, res
-	c.n, c.chunk, c.nChunks = n, chunk, nChunks
+	c.m, c.body, c.inputs, c.cfg, c.faults, c.res = m, body, inputs, cfg, faults, res
+	c.n, c.chunk, c.nChunks = n, 1, n
 	c.next.Store(0)
 	p.run(w)
 	return res

@@ -24,11 +24,26 @@ func parallelInputs(t testing.TB, n int, inj *fault.Injector) ([][]float64, []*f
 	return inputs, streams
 }
 
-// TestInferBatchParallelMatchesSequential is the tentpole differential:
-// the parallel path must be bit-identical to sequential InferBatch at
-// every worker count — including counts above the chunk count and
-// batches small enough to force sub-64 chunks — across pipeline
-// variants, with per-sample fault streams active.
+// perSample is the reference every batch path is pinned against:
+// InferOne per input, with the sample's own fault stream.
+func perSample(m *Model, inputs [][]float64, cfg RunConfig, streams []*fault.Stream, engine EngineKind) []Result {
+	want := make([]Result, len(inputs))
+	for i, in := range inputs {
+		c := cfg
+		if streams != nil {
+			c.Faults = streams[i]
+		}
+		want[i] = m.InferOne(in, c, InferOpts{Engine: engine})
+	}
+	return want
+}
+
+// TestInferBatchParallelMatchesSequential is the pool differential:
+// InferMany on a pool must be bit-identical to per-sample InferOne at
+// every worker count — including counts above the batch size — on
+// every engine and pipeline variant, with per-sample fault streams
+// active. Every sample is its own chunk, and min(workers, n) workers
+// are engaged, so a batch of 2 on 2 workers runs on both.
 func TestInferBatchParallelMatchesSequential(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -36,18 +51,39 @@ func TestInferBatchParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	engines := []EngineKind{EngineClocked, EngineEvent, EngineQuant}
 	for _, workers := range []int{1, 2, 4, 8} {
 		p := NewPool(ParallelOpts{Workers: workers})
-		for _, n := range []int{1, 10, 32, 70, 130} {
+		for _, n := range []int{1, 2, 10, 32, 70} {
 			inputs, streams := parallelInputs(t, n, inj)
-			for ci, cfg := range scratchConfigs {
-				got := m.InferBatchParallel(p, inputs, cfg, streams)
-				want := m.InferBatch(inputs, cfg, streams)
-				if len(got) != len(want) {
-					t.Fatalf("w=%d n=%d cfg %d: %d results, want %d", workers, n, ci, len(got), len(want))
-				}
-				for i := range got {
-					sameResult(t, fmt.Sprintf("w=%d n=%d cfg %d sample %d", workers, n, ci, i), got[i], want[i])
+			for _, engine := range engines {
+				for ci, cfg := range scratchConfigs {
+					if engine == EngineEvent {
+						cfg.EarlyExit = ci%2 == 1
+					}
+					before := p.Chunks()
+					got := m.InferMany(inputs, cfg, InferOpts{Pool: p, Faults: streams, Engine: engine})
+					if d := p.Chunks() - before; d != uint64(n) {
+						t.Fatalf("w=%d n=%d engine %d: dispatched %d chunks, want %d", workers, n, engine, d, n)
+					}
+					// An engaged worker sizes its scratch before claiming;
+					// scratches only grow, so the count never drops.
+					sized := 0
+					for _, sc := range p.scr {
+						if sc.maxLen > 0 {
+							sized++
+						}
+					}
+					if engaged := min(workers, n); sized < engaged {
+						t.Fatalf("w=%d n=%d: %d worker scratches used, want ≥ %d", workers, n, sized, engaged)
+					}
+					want := perSample(m, inputs, cfg, streams, engine)
+					if len(got) != len(want) {
+						t.Fatalf("w=%d n=%d engine %d cfg %d: %d results, want %d", workers, n, engine, ci, len(got), len(want))
+					}
+					for i := range got {
+						sameResult(t, fmt.Sprintf("w=%d n=%d engine %d cfg %d sample %d", workers, n, engine, ci, i), got[i], want[i])
+					}
 				}
 			}
 		}
@@ -55,33 +91,15 @@ func TestInferBatchParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestInferBatchParallelMinChunksPerWorker checks the tuning knob cuts
-// finer chunks without changing results.
-func TestInferBatchParallelMinChunksPerWorker(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	inputs, _ := parallelInputs(t, 96, nil)
-	cfg := RunConfig{EarlyFire: true}
-	want := m.InferBatch(inputs, cfg, nil)
-	for _, mc := range []int{1, 2, 4} {
-		p := NewPool(ParallelOpts{Workers: 3, MinChunksPerWorker: mc})
-		got := m.InferBatchParallel(p, inputs, cfg, nil)
-		for i := range got {
-			sameResult(t, fmt.Sprintf("minChunks=%d sample %d", mc, i), got[i], want[i])
-		}
-		p.Close()
-	}
-}
-
-// TestInferBatchParallelNilPool pins the nil-pool fallback to plain
-// InferBatch (freshly allocated results).
+// TestInferBatchParallelNilPool pins the nil-pool fallback to the
+// sequential per-sample loop (freshly allocated results).
 func TestInferBatchParallelNilPool(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
 	inputs, _ := parallelInputs(t, 5, nil)
 	cfg := RunConfig{}
-	got := m.InferBatchParallel(nil, inputs, cfg, nil)
-	want := m.InferBatch(inputs, cfg, nil)
+	got := m.InferMany(inputs, cfg, InferOpts{Pool: nil})
+	want := perSample(m, inputs, cfg, nil, EngineClocked)
 	for i := range got {
 		sameResult(t, fmt.Sprintf("sample %d", i), got[i], want[i])
 	}
@@ -100,12 +118,13 @@ func TestInferBatchParallelZeroAllocs(t *testing.T) {
 	defer p.Close()
 	inputs, _ := parallelInputs(t, 32, nil)
 	cfg := RunConfig{EarlyFire: true}
-	p.Warm(m, inputs, cfg) // deterministic: any worker can take any chunk
+	opts := InferOpts{Pool: p}
+	p.Warm(m, inputs, cfg) // deterministic: any worker can take any sample
 	for i := 0; i < 2; i++ {
-		m.InferBatchParallel(p, inputs, cfg, nil)
+		m.InferMany(inputs, cfg, opts)
 	}
-	if n := testing.AllocsPerRun(20, func() { m.InferBatchParallel(p, inputs, cfg, nil) }); n != 0 {
-		t.Errorf("InferBatchParallel allocates %.1f/op, want 0", n)
+	if n := testing.AllocsPerRun(20, func() { m.InferMany(inputs, cfg, opts) }); n != 0 {
+		t.Errorf("InferMany on a pool allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -196,12 +215,12 @@ func TestInferBatchParallelStress(t *testing.T) {
 	m := fixture.model()
 	cfg := RunConfig{EarlyFire: true}
 	inputs, _ := parallelInputs(t, 20, nil)
-	want := m.InferBatch(inputs, cfg, nil)
+	want := perSample(m, inputs, cfg, nil, EngineClocked)
 
 	// Workers far above the chunk count: only some claim work.
 	p8 := NewPool(ParallelOpts{Workers: 8})
 	for trial := 0; trial < 20; trial++ {
-		got := m.InferBatchParallel(p8, inputs, cfg, nil)
+		got := m.InferMany(inputs, cfg, InferOpts{Pool: p8})
 		for i := range got {
 			sameResult(t, fmt.Sprintf("w8 trial %d sample %d", trial, i), got[i], want[i])
 		}
@@ -210,7 +229,7 @@ func TestInferBatchParallelStress(t *testing.T) {
 
 	// Workers = 1 runs on the caller's goroutine.
 	p1 := NewPool(ParallelOpts{Workers: 1})
-	got := m.InferBatchParallel(p1, inputs, cfg, nil)
+	got := m.InferMany(inputs, cfg, InferOpts{Pool: p1})
 	for i := range got {
 		sameResult(t, fmt.Sprintf("w1 sample %d", i), got[i], want[i])
 	}
@@ -229,7 +248,7 @@ func TestInferBatchParallelStress(t *testing.T) {
 			for trial := 0; trial < 5; trial++ {
 				if g%2 == 0 {
 					batchMu.Lock()
-					rs := m.InferBatchParallel(shared, inputs, cfg, nil)
+					rs := m.InferMany(inputs, cfg, InferOpts{Pool: shared})
 					for i := range rs {
 						if rs[i].Pred != want[i].Pred {
 							t.Errorf("g%d trial %d sample %d: pred %d, want %d", g, trial, i, rs[i].Pred, want[i].Pred)
@@ -295,8 +314,9 @@ func TestEvaluatePoolMatchesSequential(t *testing.T) {
 }
 
 // BenchmarkInferBatchParallel sweeps worker counts over serving-sized
-// batches; ns/sample at workers=1 vs N quantifies the parallel win
-// (bounded by GOMAXPROCS — on a single-core host the counts tie).
+// batches on InferMany's pool path; ns/sample at workers=1 vs N
+// quantifies the parallel win (bounded by GOMAXPROCS — on a single-core
+// host the counts tie).
 func BenchmarkInferBatchParallel(b *testing.B) {
 	loadFixture(b)
 	m := fixture.model()
@@ -308,14 +328,15 @@ func BenchmarkInferBatchParallel(b *testing.B) {
 				p := NewPool(ParallelOpts{Workers: workers})
 				defer p.Close()
 				// Warm sizes every worker's arena for the whole batch (a
-				// worker may claim any subset of chunks on a given call),
+				// worker may claim any subset of samples on a given call),
 				// then one live call starts the goroutines.
 				p.Warm(m, inputs, cfg)
-				m.InferBatchParallel(p, inputs, cfg, nil)
+				opts := InferOpts{Pool: p}
+				m.InferMany(inputs, cfg, opts)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.InferBatchParallel(p, inputs, cfg, nil)
+					m.InferMany(inputs, cfg, opts)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/sample")
 			})

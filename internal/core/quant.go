@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/fault"
 	"repro/internal/kernel"
 	"repro/internal/quant"
 	"repro/internal/snn"
@@ -166,39 +165,6 @@ func (sc *InferScratch) quantThresholds(k kernel.Kernel, t int, step float64, sf
 		qthr[f] = clampQ(k.Threshold(float64(f)) * scale)
 	}
 	return qthr
-}
-
-// inferQuant is the fixed-point engine's entry: scratch setup, then the
-// int8 pipeline.
-func (m *Model) inferQuant(sc *InferScratch, input []float64, cfg RunConfig) Result {
-	if sc == nil {
-		sc = NewInferScratch(m)
-	} else {
-		sc.ensure(m)
-	}
-	sc.reset()
-	return m.inferQuantBody(sc, input, cfg)
-}
-
-// inferManyQuant is the fixed-point engine's batch loop: one scratch,
-// one arena rewind, then per-sample runs whose Results all stay valid
-// until the next top-level call on the scratch (mirrors inferManyEvent).
-func (m *Model) inferManyQuant(sc *InferScratch, inputs [][]float64, cfg RunConfig, faults []*fault.Stream) []Result {
-	if sc == nil {
-		sc = NewInferScratch(m)
-	} else {
-		sc.ensure(m)
-	}
-	sc.reset()
-	res := sc.takeResults(len(inputs))
-	for i, input := range inputs {
-		c := cfg
-		if faults != nil {
-			c.Faults = faults[i]
-		}
-		res[i] = m.inferQuantBody(sc, input, c)
-	}
-	return res
 }
 
 // inferQuantBody runs the int8 clocked pipeline on a prepared scratch

@@ -13,8 +13,8 @@ import (
 // allocates nothing (pinned by TestInferWithZeroAllocs).
 //
 // A scratch is NOT safe for concurrent use; give each worker its own
-// (internal/serve pools them per engine). Results returned by InferWith
-// and InferBatchWith alias scratch memory: they are valid until the next
+// (internal/serve pools them per engine). Results returned by InferOne
+// and InferMany alias scratch memory: they are valid until the next
 // call that reuses the same scratch. Callers that retain results across
 // calls must copy Spikes and Potentials first — or pass a nil scratch,
 // which falls back to a fresh single-use arena.
@@ -22,7 +22,6 @@ type InferScratch struct {
 	// sized-for dimensions (grown on demand, never shrunk)
 	maxLen int // max of InLen and every stage OutLen
 	window int // decode-LUT horizon (model T)
-	chunk  int // per-chunk sample capacity of the batch buffers
 
 	// single-sample working state
 	timesA, timesB []int     // ping-pong spike-offset buffers
@@ -54,22 +53,14 @@ type InferScratch struct {
 	qdec    []int32 // quantized decode LUT, rebuilt per stage
 	qthr    []int32 // quantized threshold LUT, rebuilt per stage
 
-	// batched working state (chunk ≤ maxChunk samples)
-	bTimes     [2][][]int // ping-pong banks of per-sample offset buffers
-	bTimesBack [2][]int
-	pots       [][]float64 // per-sample hidden-stage potentials
-	potsBack   []float64
-	fired      []int         // per-sample fired counters
-	perOff     [][]fireEntry // chunk spikes grouped by window offset
-
 	// result arenas (reset per top-level call)
 	ints    intArena   // Result.Spikes
 	floats  floatArena // Result.Potentials (output-stage membranes)
-	results []Result   // InferBatchWith return backing
+	results []Result   // InferMany return backing
 }
 
-// NewInferScratch allocates a scratch pre-sized for single-sample
-// inference on m; the batched buffers are sized on first batched use.
+// NewInferScratch allocates a scratch pre-sized for clocked inference
+// on m; the event and quant buffers are sized on first use.
 func NewInferScratch(m *Model) *InferScratch {
 	sc := &InferScratch{}
 	sc.ensure(m)
@@ -89,7 +80,6 @@ func (sc *InferScratch) ensure(m *Model) {
 		sc.timesA = make([]int, maxLen)
 		sc.timesB = make([]int, maxLen)
 		sc.pot = make([]float64, maxLen)
-		sc.chunk = 0 // batch backings are sized from maxLen; rebuild them
 	}
 	if m.T > sc.window {
 		sc.window = m.T
@@ -97,9 +87,6 @@ func (sc *InferScratch) ensure(m *Model) {
 		old := sc.buckets
 		sc.buckets = make([][]int, m.T)
 		copy(sc.buckets, old) // keep grown bucket capacity
-		oldOff := sc.perOff
-		sc.perOff = make([][]fireEntry, m.T)
-		copy(sc.perOff, oldOff)
 	}
 }
 
@@ -138,21 +125,6 @@ func (sc *InferScratch) ensureQuant() {
 		sc.qdec = make([]int32, sc.window)
 		sc.qthr = make([]int32, sc.window)
 	}
-}
-
-// ensureBatch grows the batched buffers to fit a chunk of b samples.
-func (sc *InferScratch) ensureBatch(b int) {
-	if b <= sc.chunk {
-		return
-	}
-	sc.chunk = b
-	for bank := 0; bank < 2; bank++ {
-		sc.bTimesBack[bank] = make([]int, b*sc.maxLen)
-		sc.bTimes[bank] = make([][]int, b)
-	}
-	sc.potsBack = make([]float64, b*sc.maxLen)
-	sc.pots = make([][]float64, b)
-	sc.fired = make([]int, b)
 }
 
 // reset rewinds the result arenas; called once per top-level inference.
@@ -195,30 +167,6 @@ func (sc *InferScratch) bucketizeInto(times []int, t int) [][]int {
 		}
 	}
 	return buckets
-}
-
-// bankTimes returns the b per-sample offset buffers of one ping-pong
-// bank, each resliced to n entries.
-func (sc *InferScratch) bankTimes(bank, b, n int) [][]int {
-	ts := sc.bTimes[bank][:b]
-	back := sc.bTimesBack[bank]
-	for s := 0; s < b; s++ {
-		ts[s] = back[s*sc.maxLen : s*sc.maxLen+n : (s+1)*sc.maxLen]
-	}
-	return ts
-}
-
-// batchPots returns b zeroed per-sample potential buffers of n neurons.
-func (sc *InferScratch) batchPots(b, n int) [][]float64 {
-	ps := sc.pots[:b]
-	for s := 0; s < b; s++ {
-		p := sc.potsBack[s*sc.maxLen : s*sc.maxLen+n : (s+1)*sc.maxLen]
-		for i := range p {
-			p[i] = 0
-		}
-		ps[s] = p
-	}
-	return ps
 }
 
 // takeResults returns a zeroed result slice backed by the scratch.

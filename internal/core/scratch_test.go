@@ -60,9 +60,9 @@ func TestInferWithMatchesInferUnderFaults(t *testing.T) {
 	}
 }
 
-// TestInferBatchWithMatchesFresh pins batched scratch reuse: one scratch
-// across successive batches (including a >64-sample batch that spans
-// chunks) is bit-identical to nil-scratch InferBatch.
+// TestInferBatchWithMatchesFresh pins batch scratch reuse: one scratch
+// across successive InferMany batches of different sizes is
+// bit-identical to nil-scratch InferMany.
 func TestInferBatchWithMatchesFresh(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -71,7 +71,7 @@ func TestInferBatchWithMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := NewInferScratch(m)
-	for _, n := range []int{1, 8, 70} { // 70 spans the 64-sample chunk mask
+	for _, n := range []int{1, 8, 70} {
 		inputs := make([][]float64, n)
 		streams := make([]*fault.Stream, n)
 		for i := range inputs {
@@ -81,10 +81,10 @@ func TestInferBatchWithMatchesFresh(t *testing.T) {
 			}
 		}
 		for ci, cfg := range scratchConfigs {
-			got := m.InferBatchWith(sc, inputs, cfg, streams)
+			got := m.InferMany(inputs, cfg, InferOpts{Scratch: sc, Faults: streams})
 			// build the reference with per-call streams: Stream state is
 			// deterministic per (sample, boundary), so reuse is safe
-			want := m.InferBatch(inputs, cfg, streams)
+			want := m.InferMany(inputs, cfg, InferOpts{Faults: streams})
 			if len(got) != len(want) {
 				t.Fatalf("n=%d cfg %d: %d results, want %d", n, ci, len(got), len(want))
 			}
@@ -116,8 +116,8 @@ func TestScratchSharedAcrossModels(t *testing.T) {
 	got = small.InferWith(sc, tinyIn, cfg)
 	sameResult(t, "small after big", got, small.Infer(tinyIn, cfg))
 
-	batch := small.InferBatchWith(sc, [][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, nil)
-	want := small.InferBatch([][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, nil)
+	batch := small.InferMany([][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, InferOpts{Scratch: sc})
+	want := small.InferMany([][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, InferOpts{})
 	for i := range batch {
 		sameResult(t, fmt.Sprintf("tiny batch %d", i), batch[i], want[i])
 	}
@@ -167,8 +167,8 @@ func TestInferWithRandomNets(t *testing.T) {
 			got := m.InferWith(sc, in, cfg)
 			sameResult(t, fmt.Sprintf("trial %d sample %d", trial, i), got, m.Infer(in, cfg))
 		}
-		batch := m.InferBatchWith(sc, inputs, cfg, nil)
-		want := m.InferBatch(inputs, cfg, nil)
+		batch := m.InferMany(inputs, cfg, InferOpts{Scratch: sc})
+		want := m.InferMany(inputs, cfg, InferOpts{})
 		for i := range batch {
 			sameResult(t, fmt.Sprintf("trial %d batch %d", trial, i), batch[i], want[i])
 		}
@@ -201,8 +201,8 @@ func TestInferWithZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestInferBatchWithZeroAllocs is the batched gate: steady-state batches
-// reuse every buffer, including the result slice itself.
+// TestInferBatchWithZeroAllocs is the batch gate: steady-state InferMany
+// calls reuse every buffer, including the result slice itself.
 func TestInferBatchWithZeroAllocs(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -212,11 +212,12 @@ func TestInferBatchWithZeroAllocs(t *testing.T) {
 		inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
 	}
 	cfg := RunConfig{EarlyFire: true}
-	for i := 0; i < 3; i++ { // warm: plan, arenas, perOff lists
-		m.InferBatchWith(sc, inputs, cfg, nil)
+	opts := InferOpts{Scratch: sc}
+	for i := 0; i < 3; i++ { // warm: plan, arenas, buckets
+		m.InferMany(inputs, cfg, opts)
 	}
-	if n := testing.AllocsPerRun(20, func() { m.InferBatchWith(sc, inputs, cfg, nil) }); n != 0 {
-		t.Errorf("InferBatchWith allocates %.1f/op, want 0", n)
+	if n := testing.AllocsPerRun(20, func() { m.InferMany(inputs, cfg, opts) }); n != 0 {
+		t.Errorf("InferMany allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -256,11 +257,12 @@ func BenchmarkInferBatchScratch(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
 			sc := NewInferScratch(m)
-			m.InferBatchWith(sc, inputs, RunConfig{EarlyFire: true}, nil)
+			opts := InferOpts{Scratch: sc}
+			m.InferMany(inputs, RunConfig{EarlyFire: true}, opts)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.InferBatchWith(sc, inputs, RunConfig{EarlyFire: true}, nil)
+				m.InferMany(inputs, RunConfig{EarlyFire: true}, opts)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/sample")
 		})

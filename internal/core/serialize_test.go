@@ -108,7 +108,11 @@ func TestLoadModelRejectsCorruptFiles(t *testing.T) {
 			wm.Stages[0].HasPool = true
 			wm.Stages[0].PoolK = 0
 		}, "pool"},
-		{"inconsistent stage chain", func(wm *wireModel) { wm.Stages[1].InLen = 7; wm.Stages[1].WShape = []int{7, 2}; wm.Stages[1].W = make([]float64, 14) }, "stage"},
+		{"inconsistent stage chain", func(wm *wireModel) {
+			wm.Stages[1].InLen = 7
+			wm.Stages[1].WShape = []int{7, 2}
+			wm.Stages[1].W = make([]float64, 14)
+		}, "stage"},
 		{"output flag missing", func(wm *wireModel) { wm.Stages[1].Output = false }, "Output"},
 	}
 	for _, tc := range cases {

@@ -262,18 +262,6 @@ func (m *Model) InferWith(sc *InferScratch, input []float64, cfg RunConfig) Resu
 	return m.InferOne(input, cfg, InferOpts{Scratch: sc})
 }
 
-// inferClocked is the clocked engine's entry: scratch setup, then the
-// step-swept pipeline.
-func (m *Model) inferClocked(sc *InferScratch, input []float64, cfg RunConfig) Result {
-	if sc == nil {
-		sc = NewInferScratch(m)
-	} else {
-		sc.ensure(m)
-	}
-	sc.reset()
-	return m.inferClockedBody(sc, input, cfg)
-}
-
 // inferClockedBody runs the clocked pipeline on a prepared scratch
 // without rewinding its arenas, so multi-sample drivers (and the event
 // engine's threshold-noise fallback) can run several samples against

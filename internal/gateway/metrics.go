@@ -141,18 +141,18 @@ type Snapshot struct {
 func (g *Gateway) Snapshot() Snapshot {
 	now := time.Now()
 	s := Snapshot{
-		UptimeSeconds: now.Sub(g.start).Seconds(),
-		Accepted:      g.met.accepted.Load(),
-		Completed:     g.met.completed.Load(),
-		Failed:        g.met.failed.Load(),
-		Shed:          g.met.shed.Load(),
-		HedgesFired:   g.met.hedgesFired.Load(),
-		HedgesWon:     g.met.hedgesWon.Load(),
+		UptimeSeconds:  now.Sub(g.start).Seconds(),
+		Accepted:       g.met.accepted.Load(),
+		Completed:      g.met.completed.Load(),
+		Failed:         g.met.failed.Load(),
+		Shed:           g.met.shed.Load(),
+		HedgesFired:    g.met.hedgesFired.Load(),
+		HedgesWon:      g.met.hedgesWon.Load(),
 		Retries:        g.met.retries.Load(),
 		Swaps:          g.met.swaps.Load(),
 		StreamSessions: g.met.streamSessions.Load(),
 		StreamRetries:  g.met.streamRetries.Load(),
-		HedgeDelayMs:  float64(g.hedgeDelay()) / float64(time.Millisecond),
+		HedgeDelayMs:   float64(g.hedgeDelay()) / float64(time.Millisecond),
 	}
 	for _, b := range g.backends {
 		st := b.currentState()

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/stream"
 )
 
@@ -242,5 +244,64 @@ func TestGatewayStreamConnectFailRetryEvent(t *testing.T) {
 	}
 	if g.Snapshot().StreamRetries != 1 {
 		t.Fatalf("stream retries = %d, want 1", g.Snapshot().StreamRetries)
+	}
+}
+
+// Regression: a client that sends a malformed frame and then holds its
+// body open must not cost the backend its health. The backend ends
+// such a session with a terminal error event and, once it gives up
+// waiting for the body, a complete response; the gateway relays that
+// as a clean session end — no retry event inviting the client to
+// resend the frame, and no failure counted against a healthy backend.
+func TestGatewayStreamMalformedFrameHeldBody(t *testing.T) {
+	srv := serve.New(abuseEngine{}, serve.Options{MaxBatch: 2})
+	t.Cleanup(srv.Close)
+	backend := httptest.NewServer(srv.Handler())
+	t.Cleanup(backend.Close)
+	g, err := New(Options{Backends: []string{backend.URL}, ProbeInterval: 20 * time.Millisecond, ProbeTimeout: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	gt := httptest.NewServer(g.Handler())
+	t.Cleanup(gt.Close)
+
+	c := openGateStream(t, gt.URL)
+	if _, err := io.WriteString(c.pw, "this is not json\n"); err != nil {
+		t.Fatal(err)
+	}
+	var ev stream.Event
+	if err := c.dec.Next(&ev); err != nil || ev.Kind != stream.KindError {
+		t.Fatalf("want terminal error event, got ev %+v err %v", ev, err)
+	}
+	// Hold the body open: the backend gives up on it after a second.
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		var ev stream.Event
+		err := c.dec.Next(&ev)
+		if err == nil {
+			err = errors.New("unexpected " + string(ev.Kind) + " event")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != io.EOF {
+			t.Fatalf("after the error event: %v, want a clean end of stream", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("session never ended while the client held its body open")
+	}
+	if d := time.Since(start); d < 500*time.Millisecond {
+		t.Fatalf("session ended after %v, before the client's body was given up on", d)
+	}
+	c.pw.Close()
+	if n := g.Snapshot().StreamRetries; n != 0 {
+		t.Fatalf("stream retries = %d, want 0", n)
+	}
+	b := g.backends[0]
+	if n := b.consecFails.Load(); n != 0 {
+		t.Fatalf("backend consecutive failures = %d, want 0 (last error %q)", n, b.lastErrString())
 	}
 }

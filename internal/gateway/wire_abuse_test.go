@@ -36,7 +36,7 @@ func (abuseEngine) InferBatch(inputs [][]float64, samples []int) []serve.Predict
 // good frames return a valid binary response — and both the gateway's
 // and the backend's accounting stay exact throughout.
 func TestWireAbuseViaGateway(t *testing.T) {
-	srv := serve.New(abuseEngine{}, serve.Options{MaxBatch: 2, MaxWait: time.Millisecond})
+	srv := serve.New(abuseEngine{}, serve.Options{MaxBatch: 2})
 	defer srv.Close()
 	backend := httptest.NewServer(srv.Handler())
 	defer backend.Close()

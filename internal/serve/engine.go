@@ -1,10 +1,11 @@
-// Package serve is the batched inference serving layer: a stdlib-only
-// HTTP server that queues single-sample requests, forms micro-batches
-// (up to MaxBatch samples or MaxWait, whichever first), and executes
-// them on the batched T2FSNN engine (core.InferBatch) or any
-// coding.Scheme. On a single core the win is amortization, not
-// parallelism — see core.InferBatch — so batching still buys ≥2×
-// throughput (pinned by make serve-smoke via cmd/snnload).
+// Package serve is the inference serving layer: a stdlib-only HTTP
+// server that queues single-sample requests and runs them on a T2FSNN
+// engine (core.InferMany) or any coding.Scheme. Scheduling is
+// work-conserving: an idle worker takes the first queued request at
+// once, together with whatever else is already queued (up to MaxBatch),
+// so batches form only under load and a lone request never waits for
+// company. Batching buys no per-sample amortization; an engine on a
+// multi-worker core.Pool spreads each batch's samples across cores.
 //
 // The scheduler guarantees the served predictions are bit-identical to
 // direct core.Evaluate over the same samples (pinned by the golden test
@@ -63,7 +64,7 @@ type Engine interface {
 // SingleEngine is the optional single-sample capability: an engine that
 // can answer one request without batch formation implements it and the
 // server routes latency-mode requests straight to InferOne, bypassing
-// the micro-batching queue entirely. Discovery is by type assertion in
+// the batching queue entirely. Discovery is by type assertion in
 // New — batch-only engines need no changes, and callers that never ask
 // for latency mode never notice the capability either way.
 // Implementations must be safe for concurrent InferOne calls and for
@@ -119,24 +120,25 @@ type ChunkReporter interface {
 	ParallelChunks() uint64
 }
 
-// TTFSEngine serves a T2FSNN core.Model through core.InferBatch — the
-// batched path whose scatter-row amortization makes micro-batching pay.
+// TTFSEngine serves a T2FSNN core.Model on the clocked engine through
+// core.InferMany: each batch is a per-sample loop, spread one sample per
+// core when Pool has several workers.
 type TTFSEngine struct {
 	Model *core.Model
 	Run   core.RunConfig
 	// Faults optionally injects deterministic per-sample faults keyed by
 	// the request's sample index.
 	Faults *fault.Injector
-	// Pool hands whole micro-batches to the data-parallel path
-	// (core.InferBatchParallel) with one scratch arena per pool worker;
-	// nil (or a single-worker pool) keeps the single-goroutine amortized
-	// path below. Give each engine its own pool.
+	// Pool shards each batch's samples across its workers
+	// (core.InferOpts.Pool), one scratch arena per pool worker; nil (or a
+	// single-worker pool) runs the batch on the calling goroutine. Give
+	// each engine its own pool.
 	Pool *core.Pool
 
 	// poolMu serializes parallel batches so result extraction (which
 	// reads pool-owned memory) finishes before the next call overwrites
 	// it — the coordination core.Pool requires of concurrent
-	// InferBatchParallel callers.
+	// InferMany callers.
 	poolMu sync.Mutex
 
 	// scratch pools per-worker inference arenas so steady-state batches
@@ -238,16 +240,15 @@ func corePredictions(rs []core.Result) []Prediction {
 }
 
 // SchemeEngine serves any coding.Scheme (rate, phase, burst, or the
-// TTFS adapter) over a converted network. Schemes have no batched
-// execution path, so batches run sample-by-sample: batching still
-// bounds queueing overhead but brings no amortization win.
+// TTFS adapter) over a converted network. Batches run sample-by-sample,
+// spread across Pool's workers when it has several.
 type SchemeEngine struct {
 	Net    *snn.Net
 	Scheme coding.Scheme
 	// Steps is the simulation horizon passed to every Run.
 	Steps  int
 	Faults *fault.Injector
-	// Pool fans the micro-batch's samples across pool workers, one
+	// Pool fans the batch's samples across pool workers, one
 	// coding.Scratch per worker; nil runs them on the calling goroutine.
 	// Give each engine its own pool.
 	Pool *core.Pool

@@ -16,10 +16,8 @@ import (
 // faults, where threshold noise transparently falls back to the clocked
 // sweep inside core.
 //
-// There is no batched event path (the engine's value is per-sample
-// latency, not amortization), so InferBatch loops InferOne; a server
-// that mostly sees batch traffic should serve a TTFSEngine instead and
-// reserve EventEngine for MaxBatch==1 / latency-mode deployments.
+// InferBatch runs the batch sample-by-sample on one pooled scratch
+// (core.InferMany with core.EngineEvent).
 type EventEngine struct {
 	Model *core.Model
 	// Run is the per-sample configuration; Run.EarlyExit enables the

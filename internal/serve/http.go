@@ -38,7 +38,7 @@ type InferRequest struct {
 	// Mode selects the serving path for this request: "latency" runs it
 	// directly on the engine's single-sample path (falling back to the
 	// queue when the engine is batch-only), "throughput" sends it
-	// through the micro-batching queue, and "" defers to the server's
+	// through the batching queue, and "" defers to the server's
 	// DefaultMode (or automatic routing).
 	Mode string `json:"mode,omitempty"`
 }
@@ -80,8 +80,8 @@ type inferReq struct {
 	// absent fields leave the pointees at the -1 sentinel, which the
 	// deref below reads back as "none" — the same meaning a nil pointer
 	// had. Input shares its backing array with input.
-	js               InferRequest
-	sampleV, labelV  int
+	js              InferRequest
+	sampleV, labelV int
 }
 
 var inferReqPool = sync.Pool{New: func() any { return new(inferReq) }}

@@ -107,7 +107,7 @@ func TestLatencyRouting(t *testing.T) {
 // window without polluting the batch histogram.
 func TestInferDirectUsesSingleEngine(t *testing.T) {
 	eng := newSingleStubEngine()
-	s := New(eng, Options{MaxBatch: 8, MaxWait: time.Millisecond})
+	s := New(eng, Options{MaxBatch: 8})
 	defer s.Close()
 
 	pred, err := s.InferDirect(context.Background(), input(5), -1, 2)
@@ -142,10 +142,10 @@ func TestInferDirectUsesSingleEngine(t *testing.T) {
 }
 
 // Without the SingleEngine capability InferDirect must fall back to the
-// batched path and still complete.
+// queue and still complete.
 func TestInferDirectFallsBackToQueue(t *testing.T) {
 	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 4, MaxWait: time.Millisecond})
+	s := New(eng, Options{MaxBatch: 4})
 	defer s.Close()
 	pred, err := s.InferDirect(context.Background(), input(7), -1, -1)
 	if err != nil {
@@ -207,7 +207,7 @@ func TestInferDirectClosedAndExpired(t *testing.T) {
 // the response must surface the early-exit telemetry.
 func TestHTTPModeRouting(t *testing.T) {
 	eng := newSingleStubEngine()
-	s := New(eng, Options{MaxBatch: 8, MaxWait: time.Millisecond})
+	s := New(eng, Options{MaxBatch: 8})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -9,9 +9,9 @@ import (
 // fakeClock drives the limiter deterministically.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time                { return c.t }
-func (c *fakeClock) advance(d time.Duration)       { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                     { return &fakeClock{t: time.Unix(1000, 0)} }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
 func withClock(l *rateLimiter, c *fakeClock) *rateLimiter {
 	l.now = c.now
 	return l

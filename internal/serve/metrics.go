@@ -311,7 +311,7 @@ type Snapshot struct {
 	EarlyExitTotal uint64 `json:"early_exit_total"`
 	EventsSaved    uint64 `json:"events_saved"`
 	// LatencyPathTotal counts requests completed on the direct
-	// single-sample path instead of the micro-batching queue.
+	// single-sample path instead of the batching queue.
 	LatencyPathTotal uint64 `json:"latency_path_total"`
 
 	// StreamSessions counts /v1/stream sessions opened; StreamActive is

@@ -48,7 +48,7 @@ func TestSnapshotPercentileSingleSample(t *testing.T) {
 // holds without the request ever touching the queue or the engine.
 func TestExpiredContextRejectedAtEnqueue(t *testing.T) {
 	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 2, MaxWait: time.Millisecond})
+	s := New(eng, Options{MaxBatch: 2})
 	defer s.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -22,8 +22,8 @@ import (
 // cannot fit the int32 accumulator fall back to the float64 sweep
 // transparently (fault streams are pure, so the re-run is exact).
 //
-// Like the event engine there is no batched fixed-point path —
-// InferBatch loops InferOne on one pooled scratch.
+// Like the event engine, InferBatch runs the batch sample-by-sample on
+// one pooled scratch.
 type QuantEngine struct {
 	Model *core.Model
 	// Run is the per-sample configuration shared by every request.

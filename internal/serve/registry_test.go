@@ -49,10 +49,10 @@ func TestRegistryRouting(t *testing.T) {
 	// the same input, so routing mistakes are visible in predictions.
 	engA := &stubEngine{inLen: 4, classes: 3}
 	engB := &stubEngine{inLen: 4, classes: 5}
-	if _, err := g.Add("alpha", engA, Options{MaxBatch: 4, MaxWait: time.Millisecond}); err != nil {
+	if _, err := g.Add("alpha", engA, Options{MaxBatch: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Add("beta", engB, Options{MaxBatch: 4, MaxWait: time.Millisecond}); err != nil {
+	if _, err := g.Add("beta", engB, Options{MaxBatch: 4}); err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
@@ -153,7 +153,7 @@ func TestRegistryRateLimit(t *testing.T) {
 	g := NewRegistry(RegistryOptions{RatePerSec: 1, Burst: 2})
 	clock := newFakeClock()
 	g.limiter.now = clock.now
-	if _, err := g.Add("m", newStubEngine(), Options{MaxBatch: 4, MaxWait: time.Millisecond}); err != nil {
+	if _, err := g.Add("m", newStubEngine(), Options{MaxBatch: 4}); err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
@@ -198,7 +198,7 @@ func TestRegistryRateLimit(t *testing.T) {
 // models with no latency history are untouched.
 func TestRegistryDeadlineShedding(t *testing.T) {
 	g := NewRegistry(RegistryOptions{})
-	srv, err := g.Add("m", newStubEngine(), Options{MaxBatch: 4, MaxWait: time.Millisecond})
+	srv, err := g.Add("m", newStubEngine(), Options{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestRegistryDeadlineShedding(t *testing.T) {
 	// DisableShedding lets doomed deadlines through admission (they
 	// then race the queue as before).
 	g2 := NewRegistry(RegistryOptions{DisableShedding: true})
-	srv2, err := g2.Add("m", newStubEngine(), Options{MaxBatch: 4, MaxWait: time.Millisecond})
+	srv2, err := g2.Add("m", newStubEngine(), Options{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRegistryDeadlineShedding(t *testing.T) {
 func TestRegistryShedsClampedNoDeadlineRequests(t *testing.T) {
 	g := NewRegistry(RegistryOptions{})
 	srv, err := g.Add("m", newStubEngine(),
-		Options{MaxBatch: 4, MaxWait: time.Millisecond, MaxTimeout: 50 * time.Millisecond})
+		Options{MaxBatch: 4, MaxTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestRegistryShedsClampedNoDeadlineRequests(t *testing.T) {
 // Close drains every model and flips the registry to 503.
 func TestRegistryClose(t *testing.T) {
 	g := NewRegistry(RegistryOptions{})
-	if _, err := g.Add("m", newStubEngine(), Options{MaxBatch: 2, MaxWait: time.Millisecond}); err != nil {
+	if _, err := g.Add("m", newStubEngine(), Options{MaxBatch: 2}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(g.Handler())
@@ -347,7 +347,7 @@ func TestRegistryGoldenMatchesSingleModel(t *testing.T) {
 		}
 		return &SchemeEngine{Net: fx.Conv.Net, Scheme: coding.Burst{}, Steps: steps, Faults: inj}
 	}
-	opt := Options{MaxBatch: 8, MaxWait: 2 * time.Millisecond}
+	opt := Options{MaxBatch: 8}
 
 	g := NewRegistry(RegistryOptions{})
 	if _, err := g.Add("ttfs", newTTFS(), opt); err != nil {

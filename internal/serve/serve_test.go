@@ -70,13 +70,13 @@ func (e *stubEngine) sawInput(v float64) bool {
 
 func input(v float64) []float64 { return []float64{v, 0, 0, 0} }
 
-// The dispatcher must coalesce queued requests into one engine call up
-// to MaxBatch while a worker is busy.
+// A worker that frees up must take every request queued meanwhile as
+// one engine call, up to MaxBatch.
 func TestSchedulerFormsBatches(t *testing.T) {
 	eng := newStubEngine()
 	eng.enter = make(chan struct{}, 4)
 	eng.release = make(chan struct{}, 4)
-	s := New(eng, Options{MaxBatch: 8, MaxWait: time.Second, Workers: 1})
+	s := New(eng, Options{MaxBatch: 8, Workers: 1})
 	defer s.Close()
 
 	var wg sync.WaitGroup
@@ -92,9 +92,15 @@ func TestSchedulerFormsBatches(t *testing.T) {
 	// First request occupies the only worker...
 	infer(0)
 	<-eng.enter
-	// ...so the next eight coalesce in the dispatcher into one batch.
+	// ...so the next eight queue up behind it, and the worker takes all
+	// of them as one batch once it is free.
 	for i := 1; i <= 8; i++ {
 		infer(float64(i))
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(s.queue) != 8; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests queued, want 8", len(s.queue))
+		}
 	}
 	eng.release <- struct{}{} // finish batch 1
 	eng.release <- struct{}{} // run batch 2
@@ -113,12 +119,26 @@ func TestSchedulerFormsBatches(t *testing.T) {
 	}
 }
 
+// A lone request on an idle server runs at once: the worker never holds
+// it back waiting for company, however long MaxWait is set.
+func TestIdleRequestSkipsMaxWait(t *testing.T) {
+	s := New(newStubEngine(), Options{MaxBatch: 16, MaxWait: time.Second, Workers: 1})
+	defer s.Close()
+	start := time.Now()
+	if _, err := s.Infer(context.Background(), input(1), -1, -1); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 200*time.Millisecond {
+		t.Fatalf("idle Infer took %v, want well under MaxWait (1s)", d)
+	}
+}
+
 // A full queue must reject fast with ErrOverloaded, and every accepted
 // request must still complete once the engine unblocks.
 func TestBackpressure(t *testing.T) {
 	eng := newStubEngine()
 	eng.release = make(chan struct{})
-	s := New(eng, Options{MaxBatch: 1, MaxWait: time.Millisecond, QueueSize: 2, Workers: 1})
+	s := New(eng, Options{MaxBatch: 1, QueueSize: 2, Workers: 1})
 
 	const n = 10
 	errs := make(chan error, n)
@@ -132,8 +152,7 @@ func TestBackpressure(t *testing.T) {
 		}(i)
 	}
 	// Wait until the scheduler has absorbed all it can (1 in the engine,
-	// 1 parked in the dispatcher, QueueSize queued), then let everything
-	// finish.
+	// QueueSize queued), then let everything finish.
 	deadline := time.After(5 * time.Second)
 	for {
 		snap := s.Metrics().Snapshot()
@@ -182,7 +201,7 @@ func TestDeadlineExpiry(t *testing.T) {
 	eng := newStubEngine()
 	eng.enter = make(chan struct{}, 4)
 	eng.release = make(chan struct{}, 4)
-	s := New(eng, Options{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 1})
+	s := New(eng, Options{MaxBatch: 4, Workers: 1})
 	defer s.Close()
 
 	var wg sync.WaitGroup
@@ -231,7 +250,7 @@ func TestDeadlineExpiry(t *testing.T) {
 // requests submitted after Close fail with ErrClosed.
 func TestShutdownDrain(t *testing.T) {
 	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 4, MaxWait: 5 * time.Millisecond, Workers: 2})
+	s := New(eng, Options{MaxBatch: 4, Workers: 2})
 
 	const n = 20
 	results := make(chan error, n)
@@ -291,7 +310,7 @@ func TestInferValidatesInputLength(t *testing.T) {
 // concurrency soak.
 func TestHTTPConcurrentClients(t *testing.T) {
 	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 8, MaxWait: time.Millisecond, Workers: 2})
+	s := New(eng, Options{MaxBatch: 8, Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -350,7 +369,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 
 func TestHTTPErrorPaths(t *testing.T) {
 	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 2, MaxWait: time.Millisecond})
+	s := New(eng, Options{MaxBatch: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -401,14 +420,14 @@ func TestOptionDefaults(t *testing.T) {
 	s := New(newStubEngine(), Options{})
 	defer s.Close()
 	o := s.Options()
-	if o.MaxBatch != 16 || o.MaxWait != 2*time.Millisecond || o.QueueSize != 128 || o.Workers < 1 {
+	if o.MaxBatch != 16 || o.QueueSize != 128 || o.Workers < 1 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }
 
 // An engine panic must fail the batch's requests, not the process.
 func TestEnginePanicIsContained(t *testing.T) {
-	s := New(panicEngine{}, Options{MaxBatch: 2, MaxWait: time.Millisecond})
+	s := New(panicEngine{}, Options{MaxBatch: 2})
 	defer s.Close()
 	_, err := s.Infer(context.Background(), []float64{1, 2, 3, 4}, -1, -1)
 	if err == nil || !strings.Contains(err.Error(), "engine panic") {
@@ -449,7 +468,7 @@ func (e *slowEngine) InferBatch(inputs [][]float64, samples []int) []Prediction 
 // expired).
 func TestMetricsAccountingIdentity(t *testing.T) {
 	eng := &slowEngine{stubEngine: stubEngine{inLen: 4, classes: 3}, delay: 2 * time.Millisecond}
-	s := New(eng, Options{MaxBatch: 4, MaxWait: time.Millisecond, QueueSize: 8, Workers: 2})
+	s := New(eng, Options{MaxBatch: 4, QueueSize: 8, Workers: 2})
 
 	const n = 300
 	var wg sync.WaitGroup
@@ -506,7 +525,7 @@ func TestInferPrefersDeliveredResultOnDeadlineRace(t *testing.T) {
 	eng := newStubEngine()
 	eng.enter = make(chan struct{}, 1)
 	eng.release = make(chan struct{}, 1)
-	s := New(eng, Options{MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1})
+	s := New(eng, Options{MaxBatch: 1, Workers: 1})
 
 	const rounds = 60
 	completions := 0
@@ -549,7 +568,7 @@ func TestInferPrefersDeliveredResultOnDeadlineRace(t *testing.T) {
 // accounting. Run under -race this is the shutdown soak.
 func TestConcurrentInferClose(t *testing.T) {
 	eng := &slowEngine{stubEngine: stubEngine{inLen: 4, classes: 3}, delay: 500 * time.Microsecond}
-	s := New(eng, Options{MaxBatch: 4, MaxWait: time.Millisecond, QueueSize: 16, Workers: 2})
+	s := New(eng, Options{MaxBatch: 4, QueueSize: 16, Workers: 2})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -602,7 +621,7 @@ func TestHTTPMaxTimeoutClamp(t *testing.T) {
 	eng := newStubEngine()
 	eng.enter = make(chan struct{}, 4)
 	eng.release = make(chan struct{}, 4)
-	s := New(eng, Options{MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1, MaxTimeout: 30 * time.Millisecond})
+	s := New(eng, Options{MaxBatch: 1, Workers: 1, MaxTimeout: 30 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -643,7 +662,7 @@ func TestHTTPMaxTimeoutClamp(t *testing.T) {
 // Trailing garbage after the JSON body means the request was framed
 // wrong; it must be rejected, not silently half-read.
 func TestHTTPTrailingGarbageRejected(t *testing.T) {
-	s := New(newStubEngine(), Options{MaxBatch: 2, MaxWait: time.Millisecond})
+	s := New(newStubEngine(), Options{MaxBatch: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -680,7 +699,7 @@ func TestHTTPRetryAfterOnOverload(t *testing.T) {
 	eng := newStubEngine()
 	eng.enter = make(chan struct{}, 8)
 	eng.release = make(chan struct{}, 8)
-	s := New(eng, Options{MaxBatch: 1, MaxWait: time.Millisecond, QueueSize: 1, Workers: 1})
+	s := New(eng, Options{MaxBatch: 1, QueueSize: 1, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -18,20 +18,25 @@ var ErrOverloaded = errors.New("serve: queue full")
 // HTTP layer maps it to 503.
 var ErrClosed = errors.New("serve: server closed")
 
-// Options configures the micro-batching scheduler.
+// Options configures the batching scheduler.
 type Options struct {
-	// MaxBatch is the largest batch handed to the engine (default 16 —
-	// where core.InferBatch's amortization win saturates on one core).
+	// MaxBatch is the largest batch handed to the engine (default 16).
+	// A worker takes whatever is already queued, up to MaxBatch, so
+	// batches form only from requests that queued while every worker
+	// was busy.
 	MaxBatch int
-	// MaxWait bounds how long the first request of a batch waits for
-	// company before the batch is dispatched anyway (default 2ms).
+	// MaxWait is ignored: workers never hold a request back waiting for
+	// company.
+	//
+	// Deprecated: batching is work-conserving; there is nothing to tune.
 	MaxWait time.Duration
 	// QueueSize bounds the request queue; submissions beyond it fail
 	// fast with ErrOverloaded (default 8×MaxBatch).
 	QueueSize int
 	// Workers is the number of concurrent batch executors (default
-	// GOMAXPROCS). More workers than cores only helps hide queueing
-	// jitter; the engine is CPU-bound.
+	// GOMAXPROCS). The engine is CPU-bound, so more workers than cores
+	// buys nothing; an engine on a multi-worker core.Pool already
+	// spreads each batch across cores, and wants one executor.
 	Workers int
 	// DefaultTimeout is applied to requests that carry no deadline of
 	// their own (0 = no default deadline).
@@ -44,7 +49,7 @@ type Options struct {
 	// DefaultMode is the serving mode applied to requests that don't
 	// carry their own "mode" field: ModeLatency routes them down the
 	// direct single-sample path (when the engine implements
-	// SingleEngine), ModeThroughput through the micro-batching queue,
+	// SingleEngine), ModeThroughput through the batching queue,
 	// and "" picks automatically — latency when batching is off
 	// (MaxBatch 1) or the request's deadline is tighter than the rolling
 	// batch p99, throughput otherwise.
@@ -60,9 +65,6 @@ const (
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 16
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
 	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = 8 * o.MaxBatch
@@ -99,8 +101,8 @@ type request struct {
 	settled atomic.Bool
 }
 
-// Server owns the request queue, the batching dispatcher, and the
-// worker pool. Create with New, serve via Handler or Infer, stop with
+// Server owns the request queue and the workers that drain it in
+// batches. Create with New, serve via Handler or Infer, stop with
 // Close (drains in-flight work).
 type Server struct {
 	eng Engine
@@ -125,12 +127,11 @@ type Server struct {
 	drain     chan struct{}
 	drainOnce sync.Once
 
-	wg       sync.WaitGroup // dispatcher + workers
+	wg       sync.WaitGroup // workers
 	directWG sync.WaitGroup // in-flight InferDirect calls
 }
 
-// New starts a server: the dispatcher and worker goroutines run until
-// Close.
+// New starts a server: the worker goroutines run until Close.
 func New(eng Engine, opt Options) *Server {
 	opt = opt.withDefaults()
 	s := &Server{
@@ -145,11 +146,9 @@ func New(eng Engine, opt Options) *Server {
 	if d, ok := eng.(EngineDescriber); ok {
 		s.met.setEngine(d.EngineDesc())
 	}
-	batches := make(chan []*request)
-	s.wg.Add(1 + opt.Workers)
-	go s.dispatch(batches)
+	s.wg.Add(opt.Workers)
 	for i := 0; i < opt.Workers; i++ {
-		go s.worker(batches)
+		go s.worker()
 	}
 	return s
 }
@@ -291,8 +290,7 @@ func (s *Server) infer(ctx context.Context, input []float64, sample, label int, 
 
 // InferDirect runs one sample synchronously on the engine's
 // single-sample path, bypassing batch formation entirely: no queue
-// seat, no MaxWait, no company — the latency-mode request trades the
-// amortization win for the shortest possible path to the engine.
+// seat, no company — the shortest possible path to the engine.
 // Engines without the SingleEngine capability fall back to the batched
 // Infer. The metric identity accepted = completed + expired + failed
 // covers direct requests too; their wall latency feeds the same
@@ -413,7 +411,7 @@ func (s *Server) Draining() <-chan struct{} { return s.drain }
 
 // Close stops accepting requests, drains everything already queued
 // (in-flight batches and direct calls run to completion and deliver
-// results), and waits for the dispatcher and workers to exit. Safe to
+// results), and waits for the workers to exit. Safe to
 // call more than once.
 func (s *Server) Close() {
 	s.BeginDrain()
@@ -431,43 +429,29 @@ func (s *Server) Close() {
 	s.directWG.Wait()
 }
 
-// dispatch forms batches: the first queued request opens a batch, which
-// is dispatched when it reaches MaxBatch samples or MaxWait elapses.
-// When the queue closes it drains remaining requests into final batches
-// and exits, closing the batches channel behind it.
-func (s *Server) dispatch(batches chan<- []*request) {
+// worker is work-conserving: it blocks for the first queued request,
+// then takes whatever else is already queued, up to MaxBatch, without
+// waiting, and runs that as one batch. Once Close closes the queue it
+// drains what remains and exits.
+func (s *Server) worker() {
 	defer s.wg.Done()
-	defer close(batches)
-	for {
-		req, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := []*request{req}
-		if s.opt.MaxBatch > 1 {
-			timer := time.NewTimer(s.opt.MaxWait)
-		collect:
-			for len(batch) < s.opt.MaxBatch {
-				select {
-				case req, ok := <-s.queue:
-					if !ok {
-						break collect
-					}
-					batch = append(batch, req)
-				case <-timer.C:
-					break collect
+	batch := make([]*request, 0, s.opt.MaxBatch)
+	for req := range s.queue {
+		batch = append(batch[:0], req)
+	fill:
+		for len(batch) < s.opt.MaxBatch {
+			select {
+			case req, ok := <-s.queue:
+				if !ok {
+					break fill
 				}
+				batch = append(batch, req)
+			default:
+				break fill
 			}
-			timer.Stop()
 		}
-		batches <- batch
-	}
-}
-
-func (s *Server) worker(batches <-chan []*request) {
-	defer s.wg.Done()
-	for batch := range batches {
 		s.runBatch(batch)
+		clear(batch) // drop request references while idle
 	}
 }
 

@@ -118,7 +118,9 @@ func serveStream(w http.ResponseWriter, r *http.Request, srv *Server, reacquire 
 				// is no resynchronization point — so the error event is
 				// terminal for the session.
 				ev = stream.Event{Kind: stream.KindError, Seq: acked, Msg: msg.err.Error()}
-				emit()
+				if emit() {
+					drainBody(rc, r)
+				}
 				return
 			}
 			seq := acked + 1
@@ -166,6 +168,59 @@ func serveStream(w http.ResponseWriter, r *http.Request, srv *Server, reacquire 
 				return
 			}
 		}
+	}
+}
+
+// bodyDrainWait bounds how long a session ended by a malformed frame
+// waits for the client to finish its request body; closeLinger is how
+// long endAndClose keeps reading after its half-close.
+const (
+	bodyDrainWait = time.Second
+	closeLinger   = 500 * time.Millisecond
+)
+
+// drainBody reads the rest of a session's request body before the
+// handler returns. With full duplex on, net/http otherwise reads an
+// unfinished body to EOF after the handler returns, and reaching EOF
+// there starts a background connection read that races the next
+// request on the kept-alive connection: the server panics with
+// "invalid concurrent Body.Read call", drops the connection, and the
+// client's next request on it never gets an answer.
+//
+// A client still sending after bodyDrainWait gets a complete response
+// and a closed connection (endAndClose). Returning with the body
+// unread would let net/http parse the rest of it as the next request,
+// and aborting the handler would cut the response short, which the
+// gateway reads as a failed backend.
+func drainBody(rc *http.ResponseController, r *http.Request) {
+	if rc.SetReadDeadline(time.Now().Add(bodyDrainWait)) != nil {
+		return
+	}
+	if _, err := io.Copy(io.Discard, r.Body); err != nil {
+		endAndClose(rc, r)
+	}
+}
+
+// endAndClose takes the connection from net/http, ends the response
+// with its last chunk, and closes the connection the way net/http
+// closes one whose request body it gave up on: half-close, then
+// discard what the client still sends for closeLinger, so the client
+// reads the end of the response instead of a reset.
+func endAndClose(rc *http.ResponseController, r *http.Request) {
+	conn, buf, err := rc.Hijack()
+	if err != nil {
+		return // not HTTP/1.x: returning ends only this stream
+	}
+	defer conn.Close()
+	if r.ProtoAtLeast(1, 1) {
+		buf.WriteString("0\r\n\r\n") // HTTP/1.1 streams are chunked
+	}
+	if buf.Flush() != nil {
+		return
+	}
+	if hc, ok := conn.(interface{ CloseWrite() error }); ok && hc.CloseWrite() == nil {
+		conn.SetReadDeadline(time.Now().Add(closeLinger))
+		io.Copy(io.Discard, conn)
 	}
 }
 

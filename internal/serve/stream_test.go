@@ -45,7 +45,7 @@ func (e *stubFrameEngine) InferFrame(input []float64, sample int, timeline bool)
 
 func newStreamServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(&stubFrameEngine{newStubEngine()}, Options{MaxBatch: 2, MaxWait: time.Millisecond})
+	s := New(&stubFrameEngine{newStubEngine()}, Options{MaxBatch: 2})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -332,6 +332,80 @@ func TestStreamMidSessionDisconnect(t *testing.T) {
 	}
 	c.pw.Close()
 	// …and every aborted session detached without ledger drift.
+	waitStreamIdle(t, s)
+	checkLedger(t, s)
+}
+
+// Regression: a session ended by a malformed frame must leave its
+// kept-alive connection usable. The handler used to return before the
+// client finished its body; net/http then read the body to EOF after
+// the handler and started a background read that raced the next
+// request ("invalid concurrent Body.Read call"), dropping the
+// connection — the intermittent TestStreamAbuseMalformedFrames hang.
+func TestStreamMalformedFrameKeepsConnection(t *testing.T) {
+	s, ts := newStreamServer(t)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	garbage := "this is not json\n"
+	fmt.Fprintf(conn, "POST /v1/stream HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n")
+	fmt.Fprintf(conn, "%x\r\n%s\r\n", len(garbage), garbage)
+	// Wait for the terminal error event, then end the body.
+	var got []byte
+	buf := make([]byte, 4096)
+	for !bytes.Contains(got, []byte(`"kind":"error"`)) {
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("no terminal error event: %v (read %q)", err, got)
+		}
+		got = append(got, buf[:n]...)
+	}
+	fmt.Fprintf(conn, "0\r\n\r\n")
+	// Let the end of the body land before the next request, so the
+	// server reaches its next-request read with nothing to read yet.
+	time.Sleep(50 * time.Millisecond)
+	fmt.Fprintf(conn, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+	for bytes.Count(got, []byte("HTTP/1.1 200")) < 2 {
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("next request on the connection got no answer: %v (read %q)", err, got)
+		}
+		got = append(got, buf[:n]...)
+	}
+	waitStreamIdle(t, s)
+	checkLedger(t, s)
+
+	// A client that never ends its body gets the terminal event, then a
+	// complete response (its last chunk) and a closed connection once
+	// bodyDrainWait has passed.
+	conn2, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	conn2.SetDeadline(time.Now().Add(bodyDrainWait + 5*time.Second))
+	fmt.Fprintf(conn2, "POST /v1/stream HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n")
+	fmt.Fprintf(conn2, "%x\r\n%s\r\n", len(garbage), garbage)
+	got = got[:0]
+	for {
+		n, err := conn2.Read(buf)
+		got = append(got, buf[:n]...)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("connection not closed after bodyDrainWait: %v", err)
+		}
+	}
+	if !bytes.Contains(got, []byte(`"kind":"error"`)) {
+		t.Fatalf("no terminal error event before close: %q", got)
+	}
+	if !bytes.HasSuffix(got, []byte("\r\n0\r\n\r\n")) {
+		t.Fatalf("connection closed before the response's last chunk: %q", got)
+	}
 	waitStreamIdle(t, s)
 	checkLedger(t, s)
 }

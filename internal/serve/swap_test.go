@@ -42,7 +42,7 @@ func (e *versionedEngine) InferBatch(inputs [][]float64, samples []int) []Predic
 // folded in — survives every cutover.
 func TestRegistrySwapAtomicUnderLoad(t *testing.T) {
 	g := NewRegistry(RegistryOptions{})
-	if _, err := g.Add("m", newVersionedEngine(0), Options{MaxBatch: 4, MaxWait: time.Millisecond}); err != nil {
+	if _, err := g.Add("m", newVersionedEngine(0), Options{MaxBatch: 4}); err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
@@ -125,7 +125,7 @@ func TestRegistrySwapAtomicUnderLoad(t *testing.T) {
 // cutover are chased onto the replacement server, never answered 503.
 func TestRegistrySwapInvisibleOverHTTP(t *testing.T) {
 	g := NewRegistry(RegistryOptions{})
-	if _, err := g.Add("m", newVersionedEngine(0), Options{MaxBatch: 4, MaxWait: time.Millisecond}); err != nil {
+	if _, err := g.Add("m", newVersionedEngine(0), Options{MaxBatch: 4}); err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
@@ -179,7 +179,7 @@ func TestRegistrySwapGoldenBitIdentity(t *testing.T) {
 
 	g := NewRegistry(RegistryOptions{})
 	if _, err := g.Add("lenet", &TTFSEngine{Model: mOld, Run: run},
-		Options{MaxBatch: 8, MaxWait: time.Millisecond}); err != nil {
+		Options{MaxBatch: 8}); err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
@@ -213,7 +213,7 @@ func TestRegistrySwapGoldenBitIdentity(t *testing.T) {
 // the swap and keep the old engine serving, untouched.
 func TestRegistrySwapGoldenRejection(t *testing.T) {
 	g := NewRegistry(RegistryOptions{})
-	if _, err := g.Add("m", newVersionedEngine(1), Options{MaxBatch: 4, MaxWait: time.Millisecond}); err != nil {
+	if _, err := g.Add("m", newVersionedEngine(1), Options{MaxBatch: 4}); err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
@@ -242,7 +242,7 @@ func TestRegistrySwapGoldenRejection(t *testing.T) {
 // count) must be rejected regardless of golden checking.
 func TestRegistrySwapShapeMismatch(t *testing.T) {
 	g := NewRegistry(RegistryOptions{})
-	if _, err := g.Add("m", &stubEngine{inLen: 4, classes: 3}, Options{MaxBatch: 4, MaxWait: time.Millisecond}); err != nil {
+	if _, err := g.Add("m", &stubEngine{inLen: 4, classes: 3}, Options{MaxBatch: 4}); err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
@@ -261,7 +261,7 @@ func TestRegistrySwapShapeMismatch(t *testing.T) {
 // build-check-cutover loop with one, input validation on the way.
 func TestRegistrySwapEndpoint(t *testing.T) {
 	g := NewRegistry(RegistryOptions{})
-	if _, err := g.Add("m", newVersionedEngine(1), Options{MaxBatch: 4, MaxWait: time.Millisecond}); err != nil {
+	if _, err := g.Add("m", newVersionedEngine(1), Options{MaxBatch: 4}); err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
@@ -285,7 +285,7 @@ func TestRegistrySwapEndpoint(t *testing.T) {
 			return nil, fmt.Errorf("unknown source %q", req.Source)
 		},
 	})
-	if _, err := g2.Add("m", newVersionedEngine(1), Options{MaxBatch: 4, MaxWait: time.Millisecond}); err != nil {
+	if _, err := g2.Add("m", newVersionedEngine(1), Options{MaxBatch: 4}); err != nil {
 		t.Fatal(err)
 	}
 	defer g2.Close()
@@ -322,7 +322,7 @@ func TestRegistrySwapEndpoint(t *testing.T) {
 // answers 503 until warmup (Warm or SetReady) and 503 again on Close.
 func TestRegistryReadiness(t *testing.T) {
 	g := NewRegistry(RegistryOptions{})
-	if _, err := g.Add("m", newStubEngine(), Options{MaxBatch: 4, MaxWait: time.Millisecond}); err != nil {
+	if _, err := g.Add("m", newStubEngine(), Options{MaxBatch: 4}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(g.Handler())
@@ -382,7 +382,7 @@ func TestRegistrySnapshotCountsDrainingServer(t *testing.T) {
 	old.enter = make(chan struct{}, 4)
 	old.release = make(chan struct{}, 4)
 	g := NewRegistry(RegistryOptions{})
-	if _, err := g.Add("m", old, Options{MaxBatch: 4, MaxWait: time.Millisecond}); err != nil {
+	if _, err := g.Add("m", old, Options{MaxBatch: 4}); err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()

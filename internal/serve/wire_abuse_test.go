@@ -35,7 +35,7 @@ func mangle(frame []byte, off int, v byte) []byte {
 // exactly with only the good requests counted.
 func TestWireAbuseDirect(t *testing.T) {
 	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 2, MaxWait: time.Millisecond})
+	s := New(eng, Options{MaxBatch: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -103,7 +103,7 @@ func TestWireAbuseDirect(t *testing.T) {
 // nothing from the aborted requests.
 func TestWireAbuseMidBodyDisconnect(t *testing.T) {
 	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 2, MaxWait: time.Millisecond})
+	s := New(eng, Options{MaxBatch: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -144,7 +144,7 @@ func TestWireAbuseMidBodyDisconnect(t *testing.T) {
 // aborted one, and the request must complete.
 func TestWireAbuseSlowPartialBody(t *testing.T) {
 	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 2, MaxWait: time.Millisecond})
+	s := New(eng, Options{MaxBatch: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

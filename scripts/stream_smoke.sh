@@ -86,7 +86,16 @@ GATE=$!
 PIDS+=("$GATE")
 sleep 0.5
 
-( sleep 1; kill -9 "$B2" 2>/dev/null ) &
+# Kill B2 once it has answered a stream frame, so the kill lands
+# mid-session however fast the host runs the load (a fixed delay
+# missed every session once the load finished inside it).
+(
+    for _ in $(seq 200); do
+        curl -sf "http://127.0.0.1:$B2PORT/metrics" | grep -q '"stream_frames_total":[1-9]' && break
+        sleep 0.02
+    done
+    kill -9 "$B2" 2>/dev/null
+) &
 KILLER=$!
 
 CHAOS_N=1500
