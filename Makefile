@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test fmt-check check bench bench-smoke bench-paper benchdiff faultbench serve-smoke gate-smoke stream-smoke quant-parity profile
+.PHONY: build test fmt-check check bench-build bench bench-smoke bench-paper benchdiff faultbench serve-smoke gate-smoke stream-smoke quant-parity profile
 
 build:
 	$(GO) build ./...
@@ -23,12 +23,19 @@ check:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./...
+	$(MAKE) bench-build
 	$(MAKE) quant-parity
 	$(MAKE) serve-smoke
 	$(MAKE) gate-smoke
 	$(MAKE) stream-smoke
 	$(MAKE) bench-smoke
 	bash scripts/benchdiff.sh --if-baseline
+
+# bench-build vets and tests the e2ebench module, which has its own
+# go.mod (so the root ./... skips it) and compiles against the serve and
+# core APIs: an API change that breaks the benchmark fails here.
+bench-build:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # quant-parity is the int8 engine's accuracy gate: argmax agreement
 # between the fixed-point and float64 clocked engines over the pinned

@@ -191,12 +191,12 @@ func BenchmarkAblationPipeline(b *testing.B) {
 	in := s.EvalX.Data[:base.Net.InLen]
 	b.Run("baseline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			base.Infer(in, core.RunConfig{})
+			base.InferOne(in, core.RunConfig{}, core.InferOpts{})
 		}
 	})
 	b.Run("earlyfire", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			base.Infer(in, core.RunConfig{EarlyFire: true})
+			base.InferOne(in, core.RunConfig{EarlyFire: true}, core.InferOpts{})
 		}
 	})
 }

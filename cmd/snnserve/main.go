@@ -69,13 +69,14 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/serve"
+	"repro/internal/snn"
 )
 
 // modelSpec is one parsed -model flag.
 type modelSpec struct {
 	name   string
 	source string // .t2f path or dataset/scale
-	scheme string // ttfs|event|rate|phase|burst
+	scheme string // ttfs|event|quant|rate|phase|burst
 	steps  int    // simulation horizon for non-ttfs schemes
 }
 
@@ -89,7 +90,7 @@ func main() {
 	ds := flag.String("dataset", "mnist", "build the default model for this synthetic dataset when no -model is given: mnist|cifar10|cifar100")
 	scale := flag.String("scale", "tiny", "dataset scale: tiny|small|full")
 	cache := flag.String("cache", "models", "weight cache directory for dataset builds")
-	scheme := flag.String("scheme", "ttfs", "default serving engine: ttfs|event|rate|phase|burst")
+	scheme := flag.String("scheme", "ttfs", "default serving engine: ttfs|event|quant|rate|phase|burst")
 	steps := flag.Int("steps", 100, "default simulation horizon for non-ttfs schemes")
 	engine := flag.String("engine", "clock", "execution engine for ttfs models: clock (clocked reference), event (event-driven with early exit — the latency-mode engine), or quant (fixed-point int8 — the per-core throughput engine)")
 	mode := flag.String("mode", "", "default serving mode: latency (direct single-sample path)|throughput (batching queue); empty routes automatically per request")
@@ -165,6 +166,10 @@ func main() {
 	// with per-model pools the replacement runs sequentially (per-model
 	// pools live exactly as long as process startup engines, and a
 	// swapped engine has no pool owner to close one).
+	ec := engineConfig{
+		cache: *cache, ef: *ef, useGO: *useGO,
+		fSeed: *fSeed, fDrop: *fDrop, fJitter: *fJitter, fStuck: *fStuck, fNoise: *fNoise,
+	}
 	reg := serve.NewRegistry(serve.RegistryOptions{
 		RatePerSec:      *rate,
 		Burst:           *burst,
@@ -175,30 +180,14 @@ func main() {
 			if spec.scheme == "" {
 				spec.scheme = "ttfs"
 			}
-			switch spec.scheme {
-			case "ttfs", "event", "quant", "rate", "phase", "burst":
-			default:
-				return nil, fmt.Errorf("unknown scheme %q", spec.scheme)
+			if err := checkScheme(spec.scheme); err != nil {
+				return nil, err
 			}
 			if spec.steps <= 0 {
 				spec.steps = *steps
 			}
-			eng, _, err := buildEngine(engineConfig{
-				spec: spec, cache: *cache, ef: *ef, useGO: *useGO,
-				fSeed: *fSeed, fDrop: *fDrop, fJitter: *fJitter, fStuck: *fStuck, fNoise: *fNoise,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if shared != nil {
-				switch e := eng.(type) {
-				case *serve.TTFSEngine:
-					e.Pool = shared
-				case *serve.SchemeEngine:
-					e.Pool = shared
-				}
-			}
-			return eng, nil
+			eng, _, err := buildEngine(ec, spec, shared)
+			return eng, err
 		},
 	})
 	opt := serve.Options{
@@ -212,30 +201,19 @@ func main() {
 	var descs []string
 	var warmups []func()
 	for _, spec := range specs {
-		eng, desc, err := buildEngine(engineConfig{
-			spec: spec, cache: *cache, ef: *ef, useGO: *useGO,
-			fSeed: *fSeed, fDrop: *fDrop, fJitter: *fJitter, fStuck: *fStuck, fNoise: *fNoise,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snnserve: model %s: %v\n", spec.name, err)
-			os.Exit(1)
-		}
 		pool := shared
 		if pw > 1 && pool == nil {
 			pool = core.NewPool(core.ParallelOpts{Workers: pw})
 			defer pool.Close()
 		}
+		eng, desc, err := buildEngine(ec, spec, pool)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "snnserve: model %s: %v\n", spec.name, err)
+			os.Exit(1)
+		}
 		mopt := opt
-		if pool != nil {
-			switch e := eng.(type) {
-			case *serve.TTFSEngine:
-				e.Pool = pool
-			case *serve.SchemeEngine:
-				e.Pool = pool
-			}
-			if mopt.Workers == 0 {
-				mopt.Workers = 1
-			}
+		if pool != nil && mopt.Workers == 0 {
+			mopt.Workers = 1
 		}
 		srv, err := reg.Add(spec.name, eng, mopt)
 		if err != nil {
@@ -370,16 +348,14 @@ func parseModelSpec(v, defScheme string, defSteps int) (modelSpec, error) {
 	if len(parts) > 3 {
 		return spec, fmt.Errorf("too many fields in %q (want name=source[:scheme[:steps]])", v)
 	}
-	switch spec.scheme {
-	case "ttfs", "event", "quant", "rate", "phase", "burst":
-	default:
-		return spec, fmt.Errorf("unknown scheme %q in %q", spec.scheme, v)
+	if err := checkScheme(spec.scheme); err != nil {
+		return spec, fmt.Errorf("%w in %q", err, v)
 	}
 	return spec, nil
 }
 
+// engineConfig is the process-wide part of every engine build.
 type engineConfig struct {
-	spec                  modelSpec
 	cache                 string
 	ef, useGO             bool
 	fSeed                 uint64
@@ -388,11 +364,13 @@ type engineConfig struct {
 }
 
 // buildEngine assembles one model's serving engine: model (loaded or
-// built), scheme, run configuration, and optional fault injector.
-func buildEngine(c engineConfig) (serve.Engine, string, error) {
+// built), scheme, run configuration, optional fault injector, and the
+// data-parallel pool (nil = sequential; used by the clocked and coding
+// scheme engines).
+func buildEngine(c engineConfig, spec modelSpec, pool *core.Pool) (serve.Engine, string, error) {
 	var inj *fault.Injector
+	var err error
 	if c.fDrop > 0 || c.fJitter > 0 || c.fStuck > 0 || c.fNoise > 0 {
-		var err error
 		inj, err = fault.New(fault.Config{
 			Seed: c.fSeed, Drop: c.fDrop, Jitter: c.fJitter,
 			StuckSilent: c.fStuck, ThresholdNoise: c.fNoise,
@@ -402,93 +380,102 @@ func buildEngine(c engineConfig) (serve.Engine, string, error) {
 		}
 	}
 
-	if strings.HasSuffix(c.spec.source, ".t2f") {
-		f, err := os.Open(c.spec.source)
+	kind, isT2FSNN := engineKinds[spec.scheme]
+	var sch coding.Scheme
+	if !isT2FSNN {
+		if sch, err = schemeFor(spec.scheme); err != nil {
+			return nil, "", err
+		}
+	}
+
+	// Resolve the model: a compiled .t2f keeps the T/2 early-firing
+	// default, a dataset build uses the dataset's EFStart. Coding schemes
+	// need only the network, so a dataset build skips the T2FSNN model.
+	var (
+		net                 *snn.Net
+		m                   *core.Model
+		run                 = core.RunConfig{EarlyFire: c.ef}
+		label, sep, details = "t2fsnn", " ", ""
+	)
+	if strings.HasSuffix(spec.source, ".t2f") {
+		f, err := os.Open(spec.source)
 		if err != nil {
 			return nil, "", err
 		}
-		m, err := core.LoadModel(f)
+		m, err = core.LoadModel(f)
 		f.Close()
 		if err != nil {
 			return nil, "", err
 		}
-		switch c.spec.scheme {
-		case "ttfs":
-		case "event":
-			run := core.RunConfig{EarlyFire: c.ef, EarlyExit: true}
-			return &serve.EventEngine{Model: m, Run: run, Faults: inj},
-				fmt.Sprintf("t2fsnn-event %s (T=%d, early exit)", c.spec.source, m.T), nil
-		case "quant":
-			run := core.RunConfig{EarlyFire: c.ef}
-			return &serve.QuantEngine{Model: m, Run: run, Faults: inj},
-				fmt.Sprintf("t2fsnn-quant %s (T=%d, int8)", c.spec.source, m.T), nil
-		default:
-			sch, err := schemeFor(c.spec.scheme)
-			if err != nil {
-				return nil, "", err
-			}
-			return &serve.SchemeEngine{Net: m.Net, Scheme: sch, Steps: c.spec.steps, Faults: inj},
-				fmt.Sprintf("%s over %s (%d steps)", sch.Name(), c.spec.source, c.spec.steps), nil
+		net = m.Net
+	} else {
+		ds, scaleName, ok := strings.Cut(spec.source, "/")
+		if !ok {
+			return nil, "", fmt.Errorf("source %q is neither a .t2f path nor dataset/scale", spec.source)
 		}
-		run := core.RunConfig{EarlyFire: c.ef}
-		return &serve.TTFSEngine{Model: m, Run: run, Faults: inj},
-			fmt.Sprintf("t2fsnn %s (T=%d)", c.spec.source, m.T), nil
-	}
-
-	ds, scaleName, ok := strings.Cut(c.spec.source, "/")
-	if !ok {
-		return nil, "", fmt.Errorf("source %q is neither a .t2f path nor dataset/scale", c.spec.source)
-	}
-	sc, err := experiments.ParseScale(scaleName)
-	if err != nil {
-		return nil, "", err
-	}
-	p, err := experiments.ParamsFor(ds, sc)
-	if err != nil {
-		return nil, "", err
-	}
-	s, err := experiments.Prepare(p, c.cache, os.Stderr)
-	if err != nil {
-		return nil, "", err
-	}
-
-	if c.spec.scheme != "ttfs" && c.spec.scheme != "event" && c.spec.scheme != "quant" {
-		sch, err := schemeFor(c.spec.scheme)
+		sc, err := experiments.ParseScale(scaleName)
 		if err != nil {
 			return nil, "", err
 		}
-		return &serve.SchemeEngine{Net: s.Conv.Net, Scheme: sch, Steps: c.spec.steps, Faults: inj},
-			fmt.Sprintf("%s over %s (%d steps)", sch.Name(), c.spec.source, c.spec.steps), nil
+		p, err := experiments.ParamsFor(ds, sc)
+		if err != nil {
+			return nil, "", err
+		}
+		s, err := experiments.Prepare(p, c.cache, os.Stderr)
+		if err != nil {
+			return nil, "", err
+		}
+		net = s.Conv.Net
+		if isT2FSNN {
+			if c.useGO {
+				_, m, _, err = experiments.BuildModels(s)
+			} else {
+				m, err = core.NewModel(s.Conv.Net, p.T, p.TauInit, p.TdInit)
+			}
+			if err != nil {
+				return nil, "", err
+			}
+		}
+		run.EFStart = p.EFStart()
+		label, sep, details = "T2FSNN", " over ", fmt.Sprintf(", DNN acc %.3f", s.DNNAcc)
+		if c.useGO {
+			label += "+GO"
+		}
+		if c.ef {
+			label += "+EF"
+		}
 	}
 
-	var m *core.Model
-	if c.useGO {
-		_, m, _, err = experiments.BuildModels(s)
-	} else {
-		m, err = core.NewModel(s.Conv.Net, p.T, p.TauInit, p.TdInit)
+	if !isT2FSNN {
+		return &serve.SchemeEngine{Net: net, Scheme: sch, Steps: spec.steps, Faults: inj, Pool: pool},
+			fmt.Sprintf("%s over %s (%d steps)", sch.Name(), spec.source, spec.steps), nil
 	}
-	if err != nil {
-		return nil, "", err
+	desc := func(variant, tag string) string {
+		return fmt.Sprintf("%s%s%s%s (T=%d%s%s)", label, variant, sep, spec.source, m.T, tag, details)
 	}
-	run := core.RunConfig{EarlyFire: c.ef, EFStart: p.EFStart()}
-	name := "T2FSNN"
-	if c.useGO {
-		name += "+GO"
-	}
-	if c.ef {
-		name += "+EF"
-	}
-	if c.spec.scheme == "event" {
+	switch kind {
+	case core.EngineEvent:
 		run.EarlyExit = true
-		return &serve.EventEngine{Model: m, Run: run, Faults: inj},
-			fmt.Sprintf("%s-event over %s (T=%d, early exit, DNN acc %.3f)", name, c.spec.source, m.T, s.DNNAcc), nil
+		return &serve.EventEngine{Model: m, Run: run, Faults: inj}, desc("-event", ", early exit"), nil
+	case core.EngineQuant:
+		return &serve.QuantEngine{Model: m, Run: run, Faults: inj}, desc("-quant", ", int8"), nil
 	}
-	if c.spec.scheme == "quant" {
-		return &serve.QuantEngine{Model: m, Run: run, Faults: inj},
-			fmt.Sprintf("%s-quant over %s (T=%d, int8, DNN acc %.3f)", name, c.spec.source, m.T, s.DNNAcc), nil
+	return &serve.TTFSEngine{Model: m, Run: run, Faults: inj, Pool: pool}, desc("", ""), nil
+}
+
+// engineKinds maps the T2FSNN scheme names to their core engine; every
+// other valid scheme name is a coding scheme (schemeFor).
+var engineKinds = map[string]core.EngineKind{
+	"ttfs": core.EngineClocked, "event": core.EngineEvent, "quant": core.EngineQuant,
+}
+
+// checkScheme rejects scheme names no engine serves.
+func checkScheme(name string) error {
+	if _, ok := engineKinds[name]; ok {
+		return nil
 	}
-	return &serve.TTFSEngine{Model: m, Run: run, Faults: inj},
-		fmt.Sprintf("%s over %s (T=%d, DNN acc %.3f)", name, c.spec.source, m.T, s.DNNAcc), nil
+	_, err := schemeFor(name)
+	return err
 }
 
 func schemeFor(name string) (coding.Scheme, error) {

@@ -61,7 +61,7 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "input (label %d):\n%s", set.Labels[*sampleIdx], dataset.ASCII(sample))
-	r := model.Infer(sample.Data, core.RunConfig{EarlyFire: *ef, CollectEvents: true})
+	r := model.InferOne(sample.Data, core.RunConfig{EarlyFire: *ef, CollectEvents: true}, core.InferOpts{})
 	fmt.Printf("pred=%d latency=%d steps total spikes=%d\n", r.Pred, r.Latency, r.TotalSpikes)
 
 	tr := trace.FromResult(model, r)

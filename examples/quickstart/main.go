@@ -60,12 +60,12 @@ func main() {
 		log.Fatal(err)
 	}
 	sample := x.Data[:64]
-	r := model.Infer(sample, core.RunConfig{})
+	r := model.InferOne(sample, core.RunConfig{}, core.InferOpts{})
 	fmt.Printf("T2FSNN baseline: pred=%d latency=%d steps, %d spikes (≤1 per neuron)\n",
 		r.Pred, r.Latency, r.TotalSpikes)
 
 	// 5. Early firing halves the latency.
-	ef := model.Infer(sample, core.RunConfig{EarlyFire: true})
+	ef := model.InferOne(sample, core.RunConfig{EarlyFire: true}, core.InferOpts{})
 	fmt.Printf("T2FSNN+EF:       pred=%d latency=%d steps, %d spikes\n",
 		ef.Pred, ef.Latency, ef.TotalSpikes)
 

@@ -32,7 +32,7 @@ func TestTTFSAdapterName(t *testing.T) {
 func TestTTFSAdapterMatchesDirectInfer(t *testing.T) {
 	s, fx := ttfsScheme(t)
 	in := fx.X.Data[:256]
-	direct := s.Model.Infer(in, core.RunConfig{})
+	direct := s.Model.InferOne(in, core.RunConfig{}, core.InferOpts{})
 	via := s.Run(fx.Conv.Net, in, RunOpts{})
 	if via.Pred != direct.Pred || via.TotalSpikes != direct.TotalSpikes {
 		t.Fatalf("adapter diverges: pred %d/%d spikes %d/%d",

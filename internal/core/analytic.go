@@ -7,12 +7,12 @@ import "fmt"
 // its fire phase opens, the fire time of each neuron is exactly the
 // analytic encode (Eq. 7) of its fully integrated potential, so no
 // per-step threshold clock is needed. It is bit-equivalent to
-// Infer(..., RunConfig{}) — the equivalence is enforced by tests and the
+// the clocked InferOne(..., RunConfig{}, InferOpts{}) — the equivalence is enforced by tests and the
 // engine ablation bench — and serves as the fast path for baseline
 // sweeps.
 //
 // Early firing has no analytic form (firing depends on arrival order
-// within the overlapped window); use Infer for EF runs.
+// within the overlapped window); use InferOne for EF runs.
 func (m *Model) InferAnalytic(input []float64) Result {
 	if len(input) != m.Net.InLen {
 		panic(fmt.Sprintf("core: input length %d, want %d", len(input), m.Net.InLen))
@@ -64,7 +64,7 @@ func (m *Model) InferAnalytic(input []float64) Result {
 // on the same input and reports any divergence; the ablation bench uses
 // it as a self-check, and it is handy when modifying either engine.
 func (m *Model) VerifyEngines(input []float64) error {
-	clocked := m.Infer(input, RunConfig{})
+	clocked := m.InferOne(input, RunConfig{}, InferOpts{})
 	analytic := m.InferAnalytic(input)
 	if clocked.Pred != analytic.Pred {
 		return fmt.Errorf("core: engines disagree on prediction: clocked %d, analytic %d", clocked.Pred, analytic.Pred)

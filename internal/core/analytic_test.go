@@ -42,7 +42,7 @@ func TestEnginesAgreeProperty(t *testing.T) {
 func TestAnalyticLatencyMatchesClocked(t *testing.T) {
 	m, _ := NewModel(tinyNet(), 20, 5, 0)
 	in := []float64{0.5, 0.2, 0.9}
-	if got, want := m.InferAnalytic(in).Latency, m.Infer(in, RunConfig{}).Latency; got != want {
+	if got, want := m.InferAnalytic(in).Latency, m.InferOne(in, RunConfig{}, InferOpts{}).Latency; got != want {
 		t.Fatalf("latency %d != clocked %d", got, want)
 	}
 }
@@ -52,7 +52,7 @@ func TestVerifyEnginesDetectsCorruption(t *testing.T) {
 	// different models — emulate by perturbing a kernel between runs
 	m, _ := NewModel(tinyNet(), 20, 5, 0)
 	in := []float64{0.5, 0.2, 0.9}
-	clocked := m.Infer(in, RunConfig{})
+	clocked := m.InferOne(in, RunConfig{}, InferOpts{})
 	m.K[1].Tau *= 3
 	analytic := m.InferAnalytic(in)
 	same := clocked.TotalSpikes == analytic.TotalSpikes
@@ -73,7 +73,7 @@ func BenchmarkEngineClocked(b *testing.B) {
 	in := fixture.x.Data[:256]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Infer(in, RunConfig{})
+		m.InferOne(in, RunConfig{}, InferOpts{})
 	}
 }
 

@@ -41,8 +41,8 @@ func TestEarlyFireShiftsSpikesEarlierGlobally(t *testing.T) {
 	}
 	in := []float64{0.4, 0.4}
 
-	base := m.Infer(in, RunConfig{CollectSpikeTimes: true})
-	ef := m.Infer(in, RunConfig{EarlyFire: true, EFStart: 1, CollectSpikeTimes: true})
+	base := m.InferOne(in, RunConfig{CollectSpikeTimes: true}, InferOpts{})
+	ef := m.InferOne(in, RunConfig{EarlyFire: true, EFStart: 1, CollectSpikeTimes: true}, InferOpts{})
 
 	if len(base.SpikeTimes[1]) != 1 || len(ef.SpikeTimes[1]) != 1 {
 		t.Fatalf("hidden spike counts: base %d, ef %d", len(base.SpikeTimes[1]), len(ef.SpikeTimes[1]))
@@ -78,8 +78,8 @@ func TestEarlyFireDropsLateArrivals(t *testing.T) {
 	}
 	in := []float64{0.8, 0.05}
 
-	base := m.Infer(in, RunConfig{})
-	ef := m.Infer(in, RunConfig{EarlyFire: true, EFStart: 1})
+	base := m.InferOne(in, RunConfig{}, InferOpts{})
+	ef := m.InferOne(in, RunConfig{EarlyFire: true, EFStart: 1}, InferOpts{})
 
 	if math.Abs(base.Potentials[0]-1.0) > 1e-9 {
 		t.Fatalf("baseline output potential = %v, want 1 (spike at local 0)", base.Potentials[0])
@@ -100,8 +100,8 @@ func TestEarlyFireSpikeBound(t *testing.T) {
 	r := tensor.NewRNG(5)
 	for trial := 0; trial < 50; trial++ {
 		in := []float64{r.Float64(), r.Float64()}
-		base := m.Infer(in, RunConfig{})
-		ef := m.Infer(in, RunConfig{EarlyFire: true, EFStart: 1 + r.Intn(20)})
+		base := m.InferOne(in, RunConfig{}, InferOpts{})
+		ef := m.InferOne(in, RunConfig{EarlyFire: true, EFStart: 1 + r.Intn(20)}, InferOpts{})
 		if ef.Spikes[1] > base.Spikes[1] {
 			t.Fatalf("EF fired more hidden spikes (%d) than baseline (%d) on %v",
 				ef.Spikes[1], base.Spikes[1], in)

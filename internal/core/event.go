@@ -8,44 +8,14 @@ import (
 	"repro/internal/snn"
 )
 
-// InferEvent runs the same pipeline as Infer with an event-driven
-// engine: instead of sweeping every neuron against the threshold at
-// every time step (O(T·N) per layer), it keeps a bucket queue of
-// candidate fire times that is re-validated only for neurons an arrival
-// actually touched. Semantics are identical to
-// the clocked engine — including arrival-before-threshold ordering
-// within a step and non-guaranteed integration under early firing — and
-// the equivalence is enforced by property tests and VerifyEnginesEvent.
-//
-// The event engine wins when spikes are sparse relative to T·N (the
-// regime TTFS coding creates by construction); the clocked engine wins
-// on dense traffic. BenchmarkEngineEvent quantifies the trade.
-//
-// Deprecated: use InferOne with InferOpts{Engine: EngineEvent}.
-func (m *Model) InferEvent(input []float64, cfg RunConfig) Result {
-	return m.InferOne(input, cfg, InferOpts{Engine: EngineEvent})
-}
-
-// InferEventWith is InferEvent against an explicit scratch arena: the
-// candidate queue, version/touched bookkeeping, potentials, and the
-// returned Result's Spikes/Potentials all come from sc, so the
-// steady-state call allocates nothing (pinned by
-// TestInferEventWithZeroAllocs). A nil sc falls back to a fresh
-// single-use scratch; results are bit-identical either way (commits
-// depend only on candidate steps and versions, never on queue order
-// among distinct neurons). The usual scratch aliasing contract applies.
-//
-// Deprecated: use InferOne with InferOpts{Scratch: sc, Engine: EngineEvent}.
-func (m *Model) InferEventWith(sc *InferScratch, input []float64, cfg RunConfig) Result {
-	return m.InferOne(input, cfg, InferOpts{Scratch: sc, Engine: EngineEvent})
-}
-
 // inferEventBody runs the event-driven pipeline on a prepared scratch
-// without rewinding its arenas (see inferClockedBody).
+// without rewinding its arenas (see inferClockedBody): instead of
+// sweeping every neuron against the threshold at every step (O(T·N) per
+// layer), it keeps a bucket queue of candidate fire times re-validated
+// only for neurons an arrival touched. It wins when spikes are sparse
+// relative to T·N, the regime TTFS coding creates by construction
+// (BenchmarkEngineEvent quantifies the trade).
 func (m *Model) inferEventBody(sc *InferScratch, input []float64, cfg RunConfig) Result {
-	if len(input) != m.Net.InLen {
-		panic(fmt.Sprintf("core: input length %d, want %d", len(input), m.Net.InLen))
-	}
 	if cfg.Faults.HasThresholdNoise() {
 		// Per-step threshold noise invalidates the analytic candidate
 		// inverse (a candidate computed against θ(f) says nothing about
@@ -54,42 +24,8 @@ func (m *Model) inferEventBody(sc *InferScratch, input []float64, cfg RunConfig)
 		// produces under the same stream, with no early exit.
 		return m.inferClockedBody(sc, input, cfg)
 	}
+	res, times, next, adv := m.encode(sc, input, cfg)
 	sc.ensureEvent()
-	adv := cfg.advance(m.T)
-	nStages := len(m.Net.Stages)
-	res := Result{
-		Spikes:  sc.ints.take(nStages),
-		Latency: (nStages-1)*adv + m.T,
-	}
-	if cfg.CollectSpikeTimes {
-		res.SpikeTimes = make([][]int, nStages)
-	}
-	if cfg.CollectEvents {
-		res.Events = make([][]SpikeEvent, nStages)
-	}
-
-	times := sc.timesA[:m.Net.InLen]
-	next := sc.timesB
-	fired := 0
-	for i, u := range input {
-		if t, ok := m.K[0].Encode(u); ok {
-			times[i] = t
-			fired++
-		} else {
-			times[i] = -1
-		}
-	}
-	if cfg.Faults != nil {
-		fired = cfg.Faults.ApplyTTFS(0, times, m.T)
-	}
-	res.Spikes[0] = fired
-	if cfg.CollectSpikeTimes {
-		res.SpikeTimes[0] = collectGlobal(times, 0)
-	}
-	if cfg.CollectEvents {
-		res.Events[0] = collectEvents(times, 0)
-	}
-
 	for si := range m.Net.Stages {
 		st := &m.Net.Stages[si]
 		inK := m.K[si]

@@ -11,7 +11,7 @@ import (
 // A minimal hand-built spiking network run through the T2FSNN pipeline:
 // two inputs feed one hidden neuron which drives one output neuron.
 // Early firing halves the pipeline advance and therefore the latency.
-func ExampleModel_Infer() {
+func ExampleModel_InferOne() {
 	net := &snn.Net{
 		Name: "demo", InShape: []int{2}, InLen: 2,
 		Stages: []snn.Stage{
@@ -28,8 +28,8 @@ func ExampleModel_Infer() {
 		panic(err)
 	}
 	in := []float64{0.8, 0.4}
-	base := m.Infer(in, core.RunConfig{})
-	ef := m.Infer(in, core.RunConfig{EarlyFire: true})
+	base := m.InferOne(in, core.RunConfig{}, core.InferOpts{})
+	ef := m.InferOne(in, core.RunConfig{EarlyFire: true}, core.InferOpts{})
 	fmt.Printf("baseline: latency=%d spikes=%d\n", base.Latency, base.TotalSpikes)
 	fmt.Printf("early-firing: latency=%d spikes=%d\n", ef.Latency, ef.TotalSpikes)
 	// Output:

@@ -22,13 +22,13 @@ func TestInferFaultHooksAreNoOpWhenDisabled(t *testing.T) {
 		cfg.CollectSpikeTimes = true
 		for i := 0; i < 10; i++ {
 			in := fixture.x.Data[i*256 : (i+1)*256]
-			plain := m.Infer(in, cfg)
+			plain := m.InferOne(in, cfg, InferOpts{})
 			faulted := cfg
 			faulted.Faults = inj.Sample(i)
 			if faulted.Faults == nil {
 				t.Fatal("zero-config injector must still produce a stream (the hooks run)")
 			}
-			hooked := m.Infer(in, faulted)
+			hooked := m.InferOne(in, faulted, InferOpts{})
 			if plain.Pred != hooked.Pred || plain.TotalSpikes != hooked.TotalSpikes || plain.Latency != hooked.Latency {
 				t.Fatalf("sample %d: zero-fault stream changed the result: pred %d/%d spikes %d/%d",
 					i, plain.Pred, hooked.Pred, plain.TotalSpikes, hooked.TotalSpikes)

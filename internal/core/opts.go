@@ -71,12 +71,22 @@ func (k EngineKind) body() engineBody {
 }
 
 // InferOne runs one input (flattened [C,H,W], values in [0,1]) through
-// the T2FSNN pipeline on the selected engine. It is the canonical
-// single-sample entry point; Infer, InferWith, InferEvent, and
-// InferEventWith are thin wrappers over it.
+// the T2FSNN pipeline on the selected engine — the single-sample entry
+// point.
 //
-// The sample's fault stream travels in cfg.Faults; opts.Faults (the
-// per-sample slice of the batch path) must be nil.
+// Layer k's fire window starts at global step k·advance and lasts T
+// steps. In the baseline pipeline (advance = T) every input spike has
+// arrived before a layer starts firing — guaranteed integration. With
+// early firing (advance = EFStart < T) the fire phase overlaps the
+// integration phase; inputs arriving after a neuron's own spike no
+// longer influence it (non-guaranteed integration, §III-C).
+//
+// With opts.Scratch set, every working buffer and the Result's
+// Spikes/Potentials come from the scratch, so the steady-state call
+// allocates nothing (see InferScratch for the aliasing contract); a nil
+// scratch falls back to a fresh single-use arena with bit-identical
+// results. The sample's fault stream travels in cfg.Faults; opts.Faults
+// (the per-sample slice of the batch path) must be nil.
 func (m *Model) InferOne(input []float64, cfg RunConfig, opts InferOpts) Result {
 	if opts.Faults != nil {
 		panic("core: InferOne takes the sample's fault stream in cfg.Faults, not opts.Faults")

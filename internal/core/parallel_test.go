@@ -206,6 +206,47 @@ func TestPoolPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestInferInputLengthPanics: every engine rejects a wrong-length input
+// with the same formatted panic, both single-sample and inside a
+// pool-sharded InferMany, where the worker's panic must reach the
+// caller and leave the pool serving correct results afterwards.
+func TestInferInputLengthPanics(t *testing.T) {
+	loadFixture(t)
+	m := fixture.model()
+	good := fixture.x.Data[:256]
+	bad := good[:255]
+	const want = "core: input length 255, want 256"
+	expectPanic := func(t *testing.T, tag string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil {
+				t.Errorf("%s: wrong-length input did not panic", tag)
+			} else if fmt.Sprint(r) != want {
+				t.Errorf("%s: panic %q, want %q", tag, r, want)
+			}
+		}()
+		f()
+	}
+	for name, eng := range map[string]EngineKind{"clocked": EngineClocked, "event": EngineEvent, "quant": EngineQuant} {
+		t.Run(name, func(t *testing.T) {
+			opts := InferOpts{Engine: eng}
+			expectPanic(t, "InferOne", func() { m.InferOne(bad, RunConfig{}, opts) })
+
+			p := NewPool(ParallelOpts{Workers: 2})
+			defer p.Close()
+			pooled := InferOpts{Engine: eng, Pool: p}
+			expectPanic(t, "pooled InferMany", func() {
+				m.InferMany([][]float64{good, bad, good, good}, RunConfig{}, pooled)
+			})
+			inputs := [][]float64{good, fixture.x.Data[256:512], fixture.x.Data[512:768]}
+			got := m.InferMany(inputs, RunConfig{}, pooled)
+			for i, in := range inputs {
+				sameResult(t, fmt.Sprintf("after panic, sample %d", i), got[i], m.InferOne(in, RunConfig{}, opts))
+			}
+		})
+	}
+}
+
 // TestInferBatchParallelStress is the -race stress: more workers than
 // chunks, a single worker, and concurrent Each traffic on a shared pool
 // interleaved with batch calls consumed under a caller lock (the serve

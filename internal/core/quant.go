@@ -174,50 +174,9 @@ func (sc *InferScratch) quantThresholds(k kernel.Kernel, t int, step float64, sf
 // whose headroom analysis cannot fit int32 at sf=0 falls back to the
 // float clocked engine for the whole call.
 func (m *Model) inferQuantBody(sc *InferScratch, input []float64, cfg RunConfig) Result {
-	if len(input) != m.Net.InLen {
-		panic("core: input length mismatch")
-	}
+	res, times, next, adv := m.encode(sc, input, cfg)
 	qstages := m.quantStages()
 	sc.ensureQuant()
-
-	adv := cfg.advance(m.T)
-	nStages := len(m.Net.Stages)
-	res := Result{
-		Spikes:  sc.ints.take(nStages),
-		Latency: (nStages-1)*adv + m.T,
-	}
-	if cfg.CollectSpikeTimes {
-		res.SpikeTimes = make([][]int, nStages)
-	}
-	if cfg.CollectEvents {
-		res.Events = make([][]SpikeEvent, nStages)
-	}
-
-	// Encode the input image with K[0] — identical to the float engines:
-	// encoding is analytic and produces integer spike offsets either way.
-	times := sc.timesA[:m.Net.InLen]
-	next := sc.timesB
-	fired := 0
-	for i, u := range input {
-		t, ok := m.K[0].Encode(u)
-		if ok {
-			times[i] = t
-			fired++
-		} else {
-			times[i] = -1
-		}
-	}
-	if cfg.Faults != nil {
-		fired = cfg.Faults.ApplyTTFS(0, times, m.T)
-	}
-	res.Spikes[0] = fired
-	if cfg.CollectSpikeTimes {
-		res.SpikeTimes[0] = collectGlobal(times, 0)
-	}
-	if cfg.CollectEvents {
-		res.Events[0] = collectEvents(times, 0)
-	}
-
 	for si := range m.Net.Stages {
 		st := &m.Net.Stages[si]
 		qs := &qstages[si]

@@ -60,7 +60,7 @@ func TestScheduleMatchesInferLatency(t *testing.T) {
 		{}, {EarlyFire: true}, {EarlyFire: true, EFStart: 13}, {EarlyFire: true, EFStart: m.T},
 	} {
 		s := m.BuildSchedule(cfg)
-		r := m.Infer(in, cfg)
+		r := m.InferOne(in, cfg, InferOpts{})
 		if s.Latency != r.Latency {
 			t.Fatalf("cfg %+v: schedule latency %d != inference %d", cfg, s.Latency, r.Latency)
 		}

@@ -10,7 +10,8 @@ import (
 // returned Result slices. TTFS coding fires each neuron at most once, so
 // the working set is a fixed function of the model geometry — allocate a
 // scratch once, reuse it per call, and the steady-state hot path
-// allocates nothing (pinned by TestInferWithZeroAllocs).
+// allocates nothing (pinned per engine by TestInferWithZeroAllocs,
+// TestInferEventWithZeroAllocs and TestQuantEngineZeroAllocs).
 //
 // A scratch is NOT safe for concurrent use; give each worker its own
 // (internal/serve pools them per engine). Results returned by InferOne

@@ -21,7 +21,7 @@ var scratchConfigs = []RunConfig{
 }
 
 // TestInferWithMatchesInfer pins the scratch contract: a reused scratch
-// produces results bit-identical to fresh-allocation Infer, across every
+// produces results bit-identical to a fresh-allocation InferOne, across every
 // pipeline variant, with the same scratch carried across samples and
 // configs so buffer-reset bugs cannot hide.
 func TestInferWithMatchesInfer(t *testing.T) {
@@ -31,8 +31,8 @@ func TestInferWithMatchesInfer(t *testing.T) {
 	for ci, cfg := range scratchConfigs {
 		for i := 0; i < 8; i++ {
 			in := fixture.x.Data[i*256 : (i+1)*256]
-			got := m.InferWith(sc, in, cfg)
-			sameResult(t, fmt.Sprintf("cfg %d sample %d", ci, i), got, m.Infer(in, cfg))
+			got := m.InferOne(in, cfg, InferOpts{Scratch: sc})
+			sameResult(t, fmt.Sprintf("cfg %d sample %d", ci, i), got, m.InferOne(in, cfg, InferOpts{}))
 		}
 	}
 }
@@ -55,8 +55,8 @@ func TestInferWithMatchesInferUnderFaults(t *testing.T) {
 		if i%2 == 1 { // faults on odd samples: mixed reuse of one scratch
 			run.Faults = inj.Sample(i)
 		}
-		got := m.InferWith(sc, in, run)
-		sameResult(t, fmt.Sprintf("faulted sample %d", i), got, m.Infer(in, run))
+		got := m.InferOne(in, run, InferOpts{Scratch: sc})
+		sameResult(t, fmt.Sprintf("faulted sample %d", i), got, m.InferOne(in, run, InferOpts{}))
 	}
 }
 
@@ -108,13 +108,13 @@ func TestScratchSharedAcrossModels(t *testing.T) {
 	sc := NewInferScratch(small) // sized small, must grow for big
 	tinyIn := []float64{0.9, 0.5, 0.2}
 	cfg := RunConfig{EarlyFire: true}
-	got := small.InferWith(sc, tinyIn, cfg)
-	sameResult(t, "small before grow", got, small.Infer(tinyIn, cfg))
+	got := small.InferOne(tinyIn, cfg, InferOpts{Scratch: sc})
+	sameResult(t, "small before grow", got, small.InferOne(tinyIn, cfg, InferOpts{}))
 	bigIn := fixture.x.Data[:256]
-	got = big.InferWith(sc, bigIn, cfg)
-	sameResult(t, "big after grow", got, big.Infer(bigIn, cfg))
-	got = small.InferWith(sc, tinyIn, cfg)
-	sameResult(t, "small after big", got, small.Infer(tinyIn, cfg))
+	got = big.InferOne(bigIn, cfg, InferOpts{Scratch: sc})
+	sameResult(t, "big after grow", got, big.InferOne(bigIn, cfg, InferOpts{}))
+	got = small.InferOne(tinyIn, cfg, InferOpts{Scratch: sc})
+	sameResult(t, "small after big", got, small.InferOne(tinyIn, cfg, InferOpts{}))
 
 	batch := small.InferMany([][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, InferOpts{Scratch: sc})
 	want := small.InferMany([][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, InferOpts{})
@@ -164,8 +164,8 @@ func TestInferWithRandomNets(t *testing.T) {
 				in[j] = rng.Float64()
 			}
 			inputs[i] = in
-			got := m.InferWith(sc, in, cfg)
-			sameResult(t, fmt.Sprintf("trial %d sample %d", trial, i), got, m.Infer(in, cfg))
+			got := m.InferOne(in, cfg, InferOpts{Scratch: sc})
+			sameResult(t, fmt.Sprintf("trial %d sample %d", trial, i), got, m.InferOne(in, cfg, InferOpts{}))
 		}
 		batch := m.InferMany(inputs, cfg, InferOpts{Scratch: sc})
 		want := m.InferMany(inputs, cfg, InferOpts{})
@@ -194,9 +194,9 @@ func TestInferWithZeroAllocs(t *testing.T) {
 	in := fixture.x.Data[:256]
 	for _, cfg := range []RunConfig{{}, {EarlyFire: true}} {
 		cfg := cfg
-		m.InferWith(sc, in, cfg) // warm plan + arenas
-		if n := testing.AllocsPerRun(20, func() { m.InferWith(sc, in, cfg) }); n != 0 {
-			t.Errorf("InferWith(earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
+		m.InferOne(in, cfg, InferOpts{Scratch: sc}) // warm plan + arenas
+		if n := testing.AllocsPerRun(20, func() { m.InferOne(in, cfg, InferOpts{Scratch: sc}) }); n != 0 {
+			t.Errorf("InferOne with scratch (earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
 		}
 	}
 }
@@ -231,16 +231,16 @@ func BenchmarkInfer(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.Infer(in, cfg)
+			m.InferOne(in, cfg, InferOpts{})
 		}
 	})
 	b.Run("scratch", func(b *testing.B) {
 		sc := NewInferScratch(m)
-		m.InferWith(sc, in, cfg)
+		m.InferOne(in, cfg, InferOpts{Scratch: sc})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.InferWith(sc, in, cfg)
+			m.InferOne(in, cfg, InferOpts{Scratch: sc})
 		}
 	})
 }

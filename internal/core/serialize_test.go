@@ -40,8 +40,8 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	// inference must be bit-identical
 	for i := 0; i < 10; i++ {
 		in := fixture.x.Data[i*256 : (i+1)*256]
-		a := src.Infer(in, RunConfig{EarlyFire: true})
-		b := dst.Infer(in, RunConfig{EarlyFire: true})
+		a := src.InferOne(in, RunConfig{EarlyFire: true}, InferOpts{})
+		b := dst.InferOne(in, RunConfig{EarlyFire: true}, InferOpts{})
 		if a.Pred != b.Pred || a.TotalSpikes != b.TotalSpikes {
 			t.Fatalf("sample %d: loaded model diverges (pred %d/%d spikes %d/%d)",
 				i, a.Pred, b.Pred, a.TotalSpikes, b.TotalSpikes)

@@ -236,43 +236,45 @@ func (r *Result) PredAt(step int) int {
 	return pred
 }
 
-// Infer runs one input (flattened [C,H,W], values in [0,1]) through the
-// T2FSNN pipeline.
-//
-// Layer k's fire window starts at global step k·advance and lasts T
-// steps. In the baseline pipeline (advance = T) every input spike has
-// arrived before a layer starts firing — guaranteed integration. With
-// early firing (advance = EFStart < T) the fire phase overlaps the
-// integration phase; inputs arriving after a neuron's own spike no
-// longer influence it (non-guaranteed integration, §III-C).
-func (m *Model) Infer(input []float64, cfg RunConfig) Result {
-	return m.InferOne(input, cfg, InferOpts{})
-}
-
-// InferWith is Infer against an explicit scratch arena: all working
-// buffers and the returned Result's Spikes/Potentials slices come from
-// sc, so the steady-state call allocates nothing (see InferScratch for
-// the aliasing contract). A nil sc falls back to a fresh single-use
-// scratch, making it exactly Infer. Results are bit-identical either
-// way: reused buffers are reset to the same state fresh allocations
-// start in, and no floating-point operation changes order.
-//
-// Deprecated: use InferOne with InferOpts{Scratch: sc}.
-func (m *Model) InferWith(sc *InferScratch, input []float64, cfg RunConfig) Result {
-	return m.InferOne(input, cfg, InferOpts{Scratch: sc})
-}
-
 // inferClockedBody runs the clocked pipeline on a prepared scratch
 // without rewinding its arenas, so multi-sample drivers (and the event
 // engine's threshold-noise fallback) can run several samples against
 // one scratch with every Result staying valid.
 func (m *Model) inferClockedBody(sc *InferScratch, input []float64, cfg RunConfig) Result {
+	res, times, next, adv := m.encode(sc, input, cfg)
+	for si := range m.Net.Stages {
+		st := &m.Net.Stages[si]
+		inK := m.K[si] // integration kernel = previous fire kernel
+		windowStart := si * adv
+
+		if st.Output {
+			m.runOutputStage(sc, st, si, inK, times, windowStart, adv, cfg, &res)
+			return res
+		}
+
+		outK := m.K[si+1]
+		out := next[:st.OutLen]
+		next = times[:cap(times)] // the consumed buffer becomes the next stage's output
+		m.runHiddenStage(sc, st, inK, outK, times, out, adv, &res, si, cfg)
+		times = out
+	}
+	return res // unreachable: Validate guarantees an output stage
+}
+
+// encode is the prologue every engine body shares: it checks the input
+// length, sets up the Result (Spikes from the scratch arena, Latency
+// from the pipeline advance), encodes the input image with K[0] into
+// spike offsets within the window (-1 = none), applies boundary-0
+// faults, and collects boundary 0's spike times and events. It returns
+// the result, the encoded offsets, the free buffer stage 0 writes its
+// spikes into, and the pipeline advance per layer.
+func (m *Model) encode(sc *InferScratch, input []float64, cfg RunConfig) (res Result, times, next []int, adv int) {
 	if len(input) != m.Net.InLen {
 		panic(fmt.Sprintf("core: input length %d, want %d", len(input), m.Net.InLen))
 	}
-	adv := cfg.advance(m.T)
+	adv = cfg.advance(m.T)
 	nStages := len(m.Net.Stages)
-	res := Result{
+	res = Result{
 		Spikes:  sc.ints.take(nStages), // boundary 0..nStages-1 (output stage does not fire)
 		Latency: (nStages-1)*adv + m.T,
 	}
@@ -283,14 +285,12 @@ func (m *Model) inferClockedBody(sc *InferScratch, input []float64, cfg RunConfi
 		res.Events = make([][]SpikeEvent, nStages)
 	}
 
-	// Encode the input image with K[0]. All pixel information is
-	// available at step 0, so encoding is analytic in both pipelines.
-	times := sc.timesA[:m.Net.InLen] // spike offset within the window, -1 = none
-	next := sc.timesB
+	// All pixel information is available at step 0, so encoding is
+	// analytic in every pipeline and engine.
+	times = sc.timesA[:m.Net.InLen]
 	fired := 0
 	for i, u := range input {
-		t, ok := m.K[0].Encode(u)
-		if ok {
+		if t, ok := m.K[0].Encode(u); ok {
 			times[i] = t
 			fired++
 		} else {
@@ -309,24 +309,7 @@ func (m *Model) inferClockedBody(sc *InferScratch, input []float64, cfg RunConfi
 	if cfg.CollectEvents {
 		res.Events[0] = collectEvents(times, 0)
 	}
-
-	for si := range m.Net.Stages {
-		st := &m.Net.Stages[si]
-		inK := m.K[si] // integration kernel = previous fire kernel
-		windowStart := si * adv
-
-		if st.Output {
-			m.runOutputStage(sc, st, si, inK, times, windowStart, adv, cfg, &res)
-			return res
-		}
-
-		outK := m.K[si+1]
-		out := next[:st.OutLen]
-		next = times[:cap(times)] // the consumed buffer becomes the next stage's output
-		m.runHiddenStage(sc, st, inK, outK, times, out, adv, &res, si, cfg)
-		times = out
-	}
-	return res // unreachable: Validate guarantees an output stage
+	return res, times, sc.timesB, adv
 }
 
 // runHiddenStage integrates the previous layer's spikes into stage st

@@ -113,7 +113,7 @@ func TestNewModelValidation(t *testing.T) {
 
 func TestBaselineLatency(t *testing.T) {
 	m, _ := NewModel(tinyNet(), 20, 5, 0)
-	r := m.Infer([]float64{0.5, 0.5, 0.5}, RunConfig{})
+	r := m.InferOne([]float64{0.5, 0.5, 0.5}, RunConfig{}, InferOpts{})
 	// 2 stages: latency = L·T = 40
 	if r.Latency != 40 {
 		t.Fatalf("baseline latency = %d, want 40", r.Latency)
@@ -122,12 +122,12 @@ func TestBaselineLatency(t *testing.T) {
 
 func TestEarlyFiringLatency(t *testing.T) {
 	m, _ := NewModel(tinyNet(), 20, 5, 0)
-	r := m.Infer([]float64{0.5, 0.5, 0.5}, RunConfig{EarlyFire: true})
+	r := m.InferOne([]float64{0.5, 0.5, 0.5}, RunConfig{EarlyFire: true}, InferOpts{})
 	// (L-1)·T/2 + T = 10 + 20 = 30
 	if r.Latency != 30 {
 		t.Fatalf("EF latency = %d, want 30", r.Latency)
 	}
-	r2 := m.Infer([]float64{0.5, 0.5, 0.5}, RunConfig{EarlyFire: true, EFStart: 5})
+	r2 := m.InferOne([]float64{0.5, 0.5, 0.5}, RunConfig{EarlyFire: true, EFStart: 5}, InferOpts{})
 	if r2.Latency != 25 {
 		t.Fatalf("EF(5) latency = %d, want 25", r2.Latency)
 	}
@@ -151,7 +151,7 @@ func TestBaselineMatchesAnalyticEncode(t *testing.T) {
 	net := tinyNet()
 	m, _ := NewModel(net, 40, 8, 0)
 	in := []float64{0.9, 0.3, 0.6}
-	r := m.Infer(in, RunConfig{CollectSpikeTimes: true})
+	r := m.InferOne(in, RunConfig{CollectSpikeTimes: true}, InferOpts{})
 
 	// decode input spikes analytically
 	decoded := make([]float64, 3)
@@ -190,8 +190,8 @@ func TestEFWithFullWindowEqualsBaseline(t *testing.T) {
 	m := fixture.model()
 	for i := 0; i < 10; i++ {
 		in := fixture.x.Data[i*256 : (i+1)*256]
-		a := m.Infer(in, RunConfig{})
-		b := m.Infer(in, RunConfig{EarlyFire: true, EFStart: m.T})
+		a := m.InferOne(in, RunConfig{}, InferOpts{})
+		b := m.InferOne(in, RunConfig{EarlyFire: true, EFStart: m.T}, InferOpts{})
 		if a.Pred != b.Pred || a.TotalSpikes != b.TotalSpikes {
 			t.Fatalf("sample %d: EF(T) differs from baseline: pred %d/%d spikes %d/%d",
 				i, a.Pred, b.Pred, a.TotalSpikes, b.TotalSpikes)
@@ -210,7 +210,7 @@ func TestAtMostOneSpikePerNeuronProperty(t *testing.T) {
 		}
 		in := []float64{r.Float64(), r.Float64(), r.Float64()}
 		cfg := RunConfig{EarlyFire: r.Intn(2) == 0, EFStart: 1 + r.Intn(m.T), CollectSpikeTimes: true}
-		res := m.Infer(in, cfg)
+		res := m.InferOne(in, cfg, InferOpts{})
 		if res.Spikes[0] > 3 || res.Spikes[1] > 4 {
 			return false // more spikes than neurons
 		}
@@ -229,7 +229,7 @@ func TestOutputPotentialsApproximateReference(t *testing.T) {
 	worst := 0.0
 	for i := 0; i < 20; i++ {
 		in := fixture.x.Data[i*256 : (i+1)*256]
-		r := m.Infer(in, RunConfig{})
+		r := m.InferOne(in, RunConfig{}, InferOpts{})
 		ref := convert.ReferenceForward(fixture.res.Net, append([]float64(nil), in...), true)
 		if d := MeanAbsDiff(r.Potentials, ref); d > worst {
 			worst = d
@@ -249,7 +249,7 @@ func TestBaselineAccuracyNearReference(t *testing.T) {
 	agree := 0
 	for i := 0; i < n; i++ {
 		in := fixture.x.Data[i*256 : (i+1)*256]
-		r := m.Infer(in, RunConfig{})
+		r := m.InferOne(in, RunConfig{}, InferOpts{})
 		ref := convert.ReferenceForward(fixture.res.Net, append([]float64(nil), in...), true)
 		if r.Pred == argmax(ref) {
 			agree++
@@ -267,10 +267,10 @@ func TestEarlyFiringKeepsAccuracy(t *testing.T) {
 	base, ef := 0, 0
 	for i := 0; i < n; i++ {
 		in := fixture.x.Data[i*256 : (i+1)*256]
-		if m.Infer(in, RunConfig{}).Pred == fixture.labels[i] {
+		if m.InferOne(in, RunConfig{}, InferOpts{}).Pred == fixture.labels[i] {
 			base++
 		}
-		if m.Infer(in, RunConfig{EarlyFire: true}).Pred == fixture.labels[i] {
+		if m.InferOne(in, RunConfig{EarlyFire: true}, InferOpts{}).Pred == fixture.labels[i] {
 			ef++
 		}
 	}
@@ -283,14 +283,14 @@ func TestApplyGOShiftsSpikesEarlier(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
 	in := fixture.x.Data[:256]
-	before := m.Infer(in, RunConfig{CollectSpikeTimes: true})
+	before := m.InferOne(in, RunConfig{CollectSpikeTimes: true}, InferOpts{})
 
 	_, err := m.ApplyGO(fixture.inputs, fixture.res.Activations, kernel.OptimizeConfig{
 		LRTau: 2, LRTd: 0.5, BatchSize: 512, Epochs: 2, RNG: tensor.NewRNG(31)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := m.Infer(in, RunConfig{CollectSpikeTimes: true})
+	after := m.InferOne(in, RunConfig{CollectSpikeTimes: true}, InferOpts{})
 
 	// Fig. 5 behaviour: GO shortens (or at worst barely moves) the first
 	// spike time of hidden layers while not inflating the spike count.
@@ -315,7 +315,7 @@ func TestApplyGOPreservesAccuracy(t *testing.T) {
 		hit := 0
 		for i := 0; i < n; i++ {
 			in := fixture.x.Data[i*256 : (i+1)*256]
-			if m.Infer(in, RunConfig{}).Pred == fixture.labels[i] {
+			if m.InferOne(in, RunConfig{}, InferOpts{}).Pred == fixture.labels[i] {
 				hit++
 			}
 		}
@@ -336,7 +336,7 @@ func TestTimelineAndPredAt(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
 	in := fixture.x.Data[:256]
-	r := m.Infer(in, RunConfig{CollectTimeline: true})
+	r := m.InferOne(in, RunConfig{CollectTimeline: true}, InferOpts{})
 	if len(r.Timeline) == 0 {
 		t.Fatal("no timeline recorded")
 	}

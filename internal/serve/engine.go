@@ -1,6 +1,8 @@
 // Package serve is the inference serving layer: a stdlib-only HTTP
 // server that queues single-sample requests and runs them on a T2FSNN
-// engine (core.InferMany) or any coding.Scheme. Scheduling is
+// core.Model — TTFSEngine, EventEngine and QuantEngine, one
+// implementation over core.InferOne/InferMany per engine kind — or on
+// any coding.Scheme (SchemeEngine). Scheduling is
 // work-conserving: an idle worker takes the first queued request at
 // once, together with whatever else is already queued (up to MaxBatch),
 // so batches form only under load and a lone request never waits for
@@ -122,7 +124,9 @@ type ChunkReporter interface {
 
 // TTFSEngine serves a T2FSNN core.Model on the clocked engine through
 // core.InferMany: each batch is a per-sample loop, spread one sample per
-// core when Pool has several workers.
+// core when Pool has several workers. For one-shot traffic it is
+// batch-only (no SingleEngine); stream frames, which arrive one at a
+// time, run single-sample on a pooled scratch.
 type TTFSEngine struct {
 	Model *core.Model
 	Run   core.RunConfig
@@ -139,104 +143,217 @@ type TTFSEngine struct {
 	// reads pool-owned memory) finishes before the next call overwrites
 	// it — the coordination core.Pool requires of concurrent
 	// InferMany callers.
-	poolMu sync.Mutex
-
-	// scratch pools per-worker inference arenas so steady-state batches
-	// allocate only the returned Predictions, never the working set.
+	poolMu  sync.Mutex
 	scratch sync.Pool
+}
+
+func (e *TTFSEngine) impl() modelEngine {
+	return modelEngine{e.Model, e.Run, e.Faults, &e.scratch, core.EngineClocked}
 }
 
 // InLen implements Engine.
 func (e *TTFSEngine) InLen() int { return e.Model.Net.InLen }
 
 // Classes implements Engine.
-func (e *TTFSEngine) Classes() int {
-	return e.Model.Net.Stages[len(e.Model.Net.Stages)-1].OutLen
-}
+func (e *TTFSEngine) Classes() int { return classes(e.Model) }
 
 // EngineDesc implements EngineDescriber.
 func (e *TTFSEngine) EngineDesc() string { return "clocked" }
 
 // InferBatch implements Engine.
 func (e *TTFSEngine) InferBatch(inputs [][]float64, samples []int) []Prediction {
-	var fs []*fault.Stream
-	if e.Faults != nil {
-		fs = make([]*fault.Stream, len(inputs))
-		for i, idx := range samples {
-			if idx >= 0 {
-				fs[i] = e.Faults.Sample(idx)
-			}
-		}
-	}
 	if e.Pool.Workers() > 1 {
 		e.poolMu.Lock()
 		defer e.poolMu.Unlock()
-		return corePredictions(e.Model.InferMany(inputs, e.Run, core.InferOpts{Pool: e.Pool, Faults: fs}))
+		return e.impl().inferBatch(inputs, samples, e.Pool)
 	}
-	sc, _ := e.scratch.Get().(*core.InferScratch)
-	if sc == nil {
-		sc = core.NewInferScratch(e.Model)
-	}
-	preds := corePredictions(e.Model.InferMany(inputs, e.Run, core.InferOpts{Scratch: sc, Faults: fs}))
-	e.scratch.Put(sc)
-	return preds
+	return e.impl().inferBatch(inputs, samples, nil)
 }
 
 // ParallelChunks implements ChunkReporter (0 without a pool).
 func (e *TTFSEngine) ParallelChunks() uint64 { return e.Pool.Chunks() }
 
-// InferFrame implements FrameEngine on the clocked engine: a stream
-// frame runs single-sample on a pooled scratch (TTFSEngine deliberately
-// stays batch-only for one-shot traffic; a session's frames arrive one
-// at a time, so there is no batch to form).
+// InferFrame implements FrameEngine.
 func (e *TTFSEngine) InferFrame(input []float64, sample int, timeline bool) FrameResult {
-	sc, _ := e.scratch.Get().(*core.InferScratch)
-	if sc == nil {
-		sc = core.NewInferScratch(e.Model)
-	}
-	cfg := e.Run
-	cfg.CollectTimeline = timeline
-	if e.Faults != nil && sample >= 0 {
-		cfg.Faults = e.Faults.Sample(sample)
-	}
-	r := e.Model.InferOne(input, cfg, core.InferOpts{Scratch: sc})
-	fr := coreFrameResult(r)
-	e.scratch.Put(sc)
-	return fr
+	return e.impl().inferFrame(input, sample, timeline)
 }
 
-// coreFrameResult converts one core result into a frame result, copying
-// every slice out of the scratch arenas it may alias.
-func coreFrameResult(r core.Result) FrameResult {
+// EventEngine serves a T2FSNN core.Model on the event-driven engine. It
+// is the latency-optimal path: set Run.EarlyExit and each sample stops
+// integrating the output window at the undominated winner, with the
+// prediction guaranteed identical to the clocked engine's (core's
+// early-exit contract) — including under injected faults, where
+// threshold noise falls back to the clocked sweep inside core.
+// Collecting a frame timeline disables the early exit but not the
+// guarantee, so streamed decisions match one-shot ones bit for bit.
+type EventEngine modelFields
+
+func (e *EventEngine) impl() modelEngine {
+	return modelEngine{e.Model, e.Run, e.Faults, &e.scratch, core.EngineEvent}
+}
+
+// InLen implements Engine.
+func (e *EventEngine) InLen() int { return e.Model.Net.InLen }
+
+// Classes implements Engine.
+func (e *EventEngine) Classes() int { return classes(e.Model) }
+
+// EngineDesc implements EngineDescriber.
+func (e *EventEngine) EngineDesc() string { return "event" }
+
+// InferBatch implements Engine.
+func (e *EventEngine) InferBatch(inputs [][]float64, samples []int) []Prediction {
+	return e.impl().inferBatch(inputs, samples, nil)
+}
+
+// InferOne implements SingleEngine.
+func (e *EventEngine) InferOne(input []float64, sample int) Prediction {
+	return inferOne(e.impl(), input, sample, prediction)
+}
+
+// InferFrame implements FrameEngine.
+func (e *EventEngine) InferFrame(input []float64, sample int, timeline bool) FrameResult {
+	return e.impl().inferFrame(input, sample, timeline)
+}
+
+// QuantEngine serves a T2FSNN core.Model on the fixed-point int8
+// engine, the throughput-per-core path for single-sample traffic:
+// weights live in int8 SoA scatter plans (built once per model, shared
+// by every caller) and integration runs on int32 accumulators. Argmax
+// agreement with the clocked engine is pinned at ≥99% on the fixture by
+// TestQuantEngineFixtureParity in core; stages whose dynamic range
+// cannot fit the int32 accumulator fall back to the float64 sweep.
+type QuantEngine modelFields
+
+func (e *QuantEngine) impl() modelEngine {
+	return modelEngine{e.Model, e.Run, e.Faults, &e.scratch, core.EngineQuant}
+}
+
+// InLen implements Engine.
+func (e *QuantEngine) InLen() int { return e.Model.Net.InLen }
+
+// Classes implements Engine.
+func (e *QuantEngine) Classes() int { return classes(e.Model) }
+
+// EngineDesc implements EngineDescriber.
+func (e *QuantEngine) EngineDesc() string { return "quant" }
+
+// InferBatch implements Engine.
+func (e *QuantEngine) InferBatch(inputs [][]float64, samples []int) []Prediction {
+	return e.impl().inferBatch(inputs, samples, nil)
+}
+
+// InferOne implements SingleEngine.
+func (e *QuantEngine) InferOne(input []float64, sample int) Prediction {
+	return inferOne(e.impl(), input, sample, prediction)
+}
+
+// InferFrame implements FrameEngine.
+func (e *QuantEngine) InferFrame(input []float64, sample int, timeline bool) FrameResult {
+	return e.impl().inferFrame(input, sample, timeline)
+}
+
+// modelFields configures EventEngine and QuantEngine.
+type modelFields struct {
+	Model *core.Model
+	// Run is the per-sample configuration shared by every request.
+	Run core.RunConfig
+	// Faults optionally injects deterministic per-sample faults keyed by
+	// the request's sample index.
+	Faults *fault.Injector
+
+	scratch sync.Pool
+}
+
+// modelEngine is the serving implementation behind TTFSEngine,
+// EventEngine and QuantEngine: one model on one engine kind. Every call
+// checks a scratch arena out of the engine's pool for its whole
+// duration (so the engines are safe for concurrent use and the steady
+// state allocates only the returned copies), derives per-sample fault
+// streams from the request's sample index (negative = none), and copies
+// results out of the arena before returning it.
+type modelEngine struct {
+	model   *core.Model
+	run     core.RunConfig
+	faults  *fault.Injector
+	scratch *sync.Pool
+	kind    core.EngineKind
+}
+
+func (e modelEngine) checkout() *core.InferScratch {
+	if sc, ok := e.scratch.Get().(*core.InferScratch); ok {
+		return sc
+	}
+	return core.NewInferScratch(e.model)
+}
+
+// inferBatch runs the batch on a pool when one is given (the caller
+// serializes pool calls), else sample-by-sample on one pooled scratch.
+func (e modelEngine) inferBatch(inputs [][]float64, samples []int, pool *core.Pool) []Prediction {
+	opts := core.InferOpts{Pool: pool, Engine: e.kind}
+	if e.faults != nil {
+		opts.Faults = make([]*fault.Stream, len(inputs))
+		for i, idx := range samples {
+			if idx >= 0 {
+				opts.Faults[i] = e.faults.Sample(idx)
+			}
+		}
+	}
+	if pool != nil {
+		return predictions(e.model.InferMany(inputs, e.run, opts))
+	}
+	opts.Scratch = e.checkout()
+	preds := predictions(e.model.InferMany(inputs, e.run, opts))
+	e.scratch.Put(opts.Scratch)
+	return preds
+}
+
+func (e modelEngine) inferFrame(input []float64, sample int, timeline bool) FrameResult {
+	e.run.CollectTimeline = timeline
+	return inferOne(e, input, sample, frameResult)
+}
+
+// inferOne runs one sample on a pooled scratch and returns copyOut's
+// copy of the result, taken before the scratch goes back to the pool.
+func inferOne[T any](e modelEngine, input []float64, sample int, copyOut func(core.Result) T) T {
+	sc := e.checkout()
+	cfg := e.run
+	if e.faults != nil && sample >= 0 {
+		cfg.Faults = e.faults.Sample(sample)
+	}
+	out := copyOut(e.model.InferOne(input, cfg, core.InferOpts{Scratch: sc, Engine: e.kind}))
+	e.scratch.Put(sc)
+	return out
+}
+
+func classes(m *core.Model) int { return m.Net.Stages[len(m.Net.Stages)-1].OutLen }
+
+// prediction copies one core result out of the arena it aliases.
+func prediction(r core.Result) Prediction {
+	return Prediction{
+		Pred:        r.Pred,
+		Latency:     r.Latency,
+		TotalSpikes: r.TotalSpikes,
+		Potentials:  append([]float64(nil), r.Potentials...),
+		EarlyExit:   r.EarlyExit,
+		EventsSaved: r.EventsSaved,
+	}
+}
+
+func predictions(rs []core.Result) []Prediction {
+	preds := make([]Prediction, len(rs))
+	for i, r := range rs {
+		preds[i] = prediction(r)
+	}
+	return preds
+}
+
+func frameResult(r core.Result) FrameResult {
 	return FrameResult{
-		Prediction: Prediction{
-			Pred:        r.Pred,
-			Latency:     r.Latency,
-			TotalSpikes: r.TotalSpikes,
-			Potentials:  append([]float64(nil), r.Potentials...),
-			EarlyExit:   r.EarlyExit,
-			EventsSaved: r.EventsSaved,
-		},
+		Prediction:  prediction(r),
 		StageSpikes: append([]int(nil), r.Spikes...),
 		Timeline:    append([]core.TimedPred(nil), r.Timeline...),
 	}
-}
-
-// corePredictions converts batch results into predictions, copying
-// Potentials out of the scratch/pool arenas they alias.
-func corePredictions(rs []core.Result) []Prediction {
-	preds := make([]Prediction, len(rs))
-	for i, r := range rs {
-		preds[i] = Prediction{
-			Pred:        r.Pred,
-			Latency:     r.Latency,
-			TotalSpikes: r.TotalSpikes,
-			Potentials:  append([]float64(nil), r.Potentials...),
-			EarlyExit:   r.EarlyExit,
-			EventsSaved: r.EventsSaved,
-		}
-	}
-	return preds
 }
 
 // SchemeEngine serves any coding.Scheme (rate, phase, burst, or the
@@ -257,7 +374,8 @@ type SchemeEngine struct {
 	mu        sync.Mutex
 	scratches []*coding.Scratch
 
-	// scratch pools per-worker simulation buffers (see TTFSEngine).
+	// scratch pools per-caller simulation buffers for sequential batches
+	// and stream frames.
 	scratch sync.Pool
 }
 

@@ -50,7 +50,7 @@ func TestServedPredictionsMatchEvaluate(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("sample %d: %v", i, errs[i])
 		}
-		ref := m.Infer(fx.X.Data[i*sampleLen:(i+1)*sampleLen], run)
+		ref := m.InferOne(fx.X.Data[i*sampleLen:(i+1)*sampleLen], run, core.InferOpts{})
 		if got[i].Pred != ref.Pred || got[i].Latency != ref.Latency || got[i].TotalSpikes != ref.TotalSpikes {
 			t.Fatalf("sample %d: served (%d,%d,%d) != direct (%d,%d,%d)",
 				i, got[i].Pred, got[i].Latency, got[i].TotalSpikes, ref.Pred, ref.Latency, ref.TotalSpikes)
@@ -132,7 +132,7 @@ func TestServedFaultInjectionMatchesDirect(t *testing.T) {
 		if i%2 == 1 {
 			cfg.Faults = inj.Sample(i)
 		}
-		ref := m.Infer(fx.X.Data[i*sampleLen:(i+1)*sampleLen], cfg)
+		ref := m.InferOne(fx.X.Data[i*sampleLen:(i+1)*sampleLen], cfg, core.InferOpts{})
 		if got[i].Pred != ref.Pred || got[i].TotalSpikes != ref.TotalSpikes {
 			t.Fatalf("sample %d: served (%d,%d) != direct (%d,%d)",
 				i, got[i].Pred, got[i].TotalSpikes, ref.Pred, ref.TotalSpikes)
@@ -195,7 +195,7 @@ func TestServedWithPoolMatchesDirect(t *testing.T) {
 			if i%2 == 1 {
 				cfg.Faults = inj.Sample(i)
 			}
-			ref := m.Infer(fx.X.Data[i*sampleLen:(i+1)*sampleLen], cfg)
+			ref := m.InferOne(fx.X.Data[i*sampleLen:(i+1)*sampleLen], cfg, core.InferOpts{})
 			if got[i].Pred != ref.Pred || got[i].Latency != ref.Latency || got[i].TotalSpikes != ref.TotalSpikes {
 				t.Fatalf("sample %d: served (%d,%d,%d) != direct (%d,%d,%d)",
 					i, got[i].Pred, got[i].Latency, got[i].TotalSpikes, ref.Pred, ref.Latency, ref.TotalSpikes)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -254,10 +256,47 @@ func TestHTTPModeRouting(t *testing.T) {
 	}
 }
 
-// EventEngine served directly must be bit-identical to calling the core
-// event engine per sample — including fault streams keyed by sample and
-// the early-exit telemetry — and safe under concurrent InferOne.
-func TestEventEngineServesCoreResults(t *testing.T) {
+// engineCaps is the optional-capability set an Engine exposes.
+type engineCaps struct{ single, frame, describer, chunks bool }
+
+func capsOf(e Engine) engineCaps {
+	var c engineCaps
+	_, c.single = e.(SingleEngine)
+	_, c.frame = e.(FrameEngine)
+	_, c.describer = e.(EngineDescriber)
+	_, c.chunks = e.(ChunkReporter)
+	return c
+}
+
+// diffResult reports how a served prediction differs from the core
+// result it must reproduce bit for bit ("" when identical).
+func diffResult(got Prediction, want core.Result) string {
+	switch {
+	case got.Pred != want.Pred || got.Latency != want.Latency || got.TotalSpikes != want.TotalSpikes:
+		return fmt.Sprintf("(pred, latency, spikes) = (%d, %d, %d), want (%d, %d, %d)",
+			got.Pred, got.Latency, got.TotalSpikes, want.Pred, want.Latency, want.TotalSpikes)
+	case got.EarlyExit != want.EarlyExit || got.EventsSaved != want.EventsSaved:
+		return fmt.Sprintf("early exit (%v, %d), want (%v, %d)",
+			got.EarlyExit, got.EventsSaved, want.EarlyExit, want.EventsSaved)
+	case len(got.Potentials) != len(want.Potentials):
+		return fmt.Sprintf("%d potentials, want %d", len(got.Potentials), len(want.Potentials))
+	}
+	for j := range want.Potentials {
+		if math.Float64bits(got.Potentials[j]) != math.Float64bits(want.Potentials[j]) {
+			return fmt.Sprintf("potential %d not bit-identical", j)
+		}
+	}
+	return ""
+}
+
+// Every model engine must serve exactly what core.InferOne computes on
+// its engine kind — through InferBatch, InferOne where present, and
+// InferFrame with and without a timeline — including fault streams
+// keyed by sample index (negative = none) and the early-exit telemetry,
+// with all entry points running concurrently. Each type must also expose
+// exactly its capability set: the clocked engine is batch-only with a
+// chunk counter, the event and quant engines answer single samples.
+func TestEnginesServeCoreResults(t *testing.T) {
 	fx := testutil.TrainedLeNet16()
 	m, err := core.NewModel(fx.Conv.Net, 40, 10, 0)
 	if err != nil {
@@ -267,57 +306,103 @@ func TestEventEngineServesCoreResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := core.RunConfig{EarlyExit: true}
-	eng := &EventEngine{Model: m, Run: run, Faults: inj}
+	pool := core.NewPool(core.ParallelOpts{Workers: 2})
+	defer pool.Close()
+	clocked, event := core.RunConfig{EarlyFire: true}, core.RunConfig{EarlyExit: true}
+	batchOnly := engineCaps{frame: true, describer: true, chunks: true}
+	single := engineCaps{single: true, frame: true, describer: true}
+	cases := []struct {
+		name string
+		kind core.EngineKind
+		run  core.RunConfig
+		eng  Engine
+		caps engineCaps
+	}{
+		{"clocked", core.EngineClocked, clocked, &TTFSEngine{Model: m, Run: clocked, Faults: inj}, batchOnly},
+		{"clocked-pool", core.EngineClocked, clocked, &TTFSEngine{Model: m, Run: clocked, Faults: inj, Pool: pool}, batchOnly},
+		{"event", core.EngineEvent, event, &EventEngine{Model: m, Run: event, Faults: inj}, single},
+		{"quant", core.EngineQuant, clocked, &QuantEngine{Model: m, Run: clocked, Faults: inj}, single},
+	}
 	sampleLen := fx.Conv.Net.InLen
-
-	const n = 24
-	var wg sync.WaitGroup
-	errs := make([]string, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			in := fx.X.Data[i*sampleLen : (i+1)*sampleLen]
-			cfg := run
-			cfg.Faults = inj.Sample(i)
-			want := m.InferOne(in, cfg, core.InferOpts{Engine: core.EngineEvent})
-			got := eng.InferOne(in, i)
-			switch {
-			case got.Pred != want.Pred || got.Latency != want.Latency || got.TotalSpikes != want.TotalSpikes:
-				errs[i] = "prediction fields differ"
-			case got.EarlyExit != want.EarlyExit || got.EventsSaved != want.EventsSaved:
-				errs[i] = "early-exit telemetry differs"
-			default:
-				for j := range want.Potentials {
-					if math.Float64bits(got.Potentials[j]) != math.Float64bits(want.Potentials[j]) {
-						errs[i] = "potentials not bit-identical"
-					}
-				}
+	const n, batch = 24, 6
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := capsOf(tc.eng); got != tc.caps {
+				t.Fatalf("capabilities %+v, want %+v", got, tc.caps)
 			}
-		}(i)
-	}
-	wg.Wait()
-	for i, e := range errs {
-		if e != "" {
-			t.Fatalf("sample %d: %s", i, e)
-		}
-	}
+			in := func(i int) []float64 { return fx.X.Data[i*sampleLen : (i+1)*sampleLen] }
+			sample := func(i int) int {
+				if i%3 == 0 {
+					return -1
+				}
+				return i
+			}
+			want := func(i int, timeline bool) core.Result {
+				cfg := tc.run
+				cfg.CollectTimeline = timeline
+				if s := sample(i); s >= 0 {
+					cfg.Faults = inj.Sample(s)
+				}
+				return m.InferOne(in(i), cfg, core.InferOpts{Engine: tc.kind})
+			}
 
-	// The batch entry point must agree with the single-sample one.
-	inputs := make([][]float64, 6)
-	samples := make([]int, 6)
-	for i := range inputs {
-		inputs[i] = fx.X.Data[i*sampleLen : (i+1)*sampleLen]
-		samples[i] = i
-	}
-	preds := eng.InferBatch(inputs, samples)
-	for i := range inputs {
-		one := eng.InferOne(inputs[i], i)
-		if preds[i].Pred != one.Pred || preds[i].Latency != one.Latency ||
-			preds[i].EarlyExit != one.EarlyExit || preds[i].EventsSaved != one.EventsSaved {
-			t.Fatalf("sample %d: batch %+v != single %+v", i, preds[i], one)
-		}
+			var mu sync.Mutex
+			var errs []string
+			fail := func(format string, args ...any) {
+				mu.Lock()
+				errs = append(errs, fmt.Sprintf(format, args...))
+				mu.Unlock()
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					ref := want(i, false)
+					if se, ok := tc.eng.(SingleEngine); ok {
+						if d := diffResult(se.InferOne(in(i), sample(i)), ref); d != "" {
+							fail("sample %d InferOne: %s", i, d)
+						}
+					}
+					fe := tc.eng.(FrameEngine)
+					fr := fe.InferFrame(in(i), sample(i), false)
+					if d := diffResult(fr.Prediction, ref); d != "" {
+						fail("sample %d InferFrame: %s", i, d)
+					}
+					if !slices.Equal(fr.StageSpikes, ref.Spikes) || fr.Timeline != nil {
+						fail("sample %d InferFrame: stage spikes %v timeline %v, want %v and none", i, fr.StageSpikes, fr.Timeline, ref.Spikes)
+					}
+					ref = want(i, true)
+					fr = fe.InferFrame(in(i), sample(i), true)
+					if d := diffResult(fr.Prediction, ref); d != "" {
+						fail("sample %d InferFrame with timeline: %s", i, d)
+					}
+					if !slices.Equal(fr.StageSpikes, ref.Spikes) || !slices.Equal(fr.Timeline, ref.Timeline) {
+						fail("sample %d InferFrame with timeline: stage spikes or timeline differ", i)
+					}
+				}(i)
+			}
+			for lo := 0; lo < n; lo += batch {
+				wg.Add(1)
+				go func(lo int) {
+					defer wg.Done()
+					inputs := make([][]float64, batch)
+					samples := make([]int, batch)
+					for k := range inputs {
+						inputs[k], samples[k] = in(lo+k), sample(lo+k)
+					}
+					for k, p := range tc.eng.InferBatch(inputs, samples) {
+						if d := diffResult(p, want(lo+k, false)); d != "" {
+							fail("sample %d InferBatch: %s", lo+k, d)
+						}
+					}
+				}(lo)
+			}
+			wg.Wait()
+			for _, e := range errs {
+				t.Error(e)
+			}
+		})
 	}
 }
 

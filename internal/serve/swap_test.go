@@ -196,7 +196,7 @@ func TestRegistrySwapGoldenBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := mNew.Infer(in, run)
+		ref := mNew.InferOne(in, run, core.InferOpts{})
 		if got.Pred != ref.Pred || got.Latency != ref.Latency || got.TotalSpikes != ref.TotalSpikes {
 			t.Fatalf("sample %d after swap: served (%d,%d,%d) != direct (%d,%d,%d)",
 				i, got.Pred, got.Latency, got.TotalSpikes, ref.Pred, ref.Latency, ref.TotalSpikes)

@@ -161,7 +161,7 @@ func TestFromResultEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := m.Infer(fx.X.Data[:256], core.RunConfig{EarlyFire: true, CollectEvents: true})
+	r := m.InferOne(fx.X.Data[:256], core.RunConfig{EarlyFire: true, CollectEvents: true}, core.InferOpts{})
 	tr := FromResult(m, r)
 	if tr.Count("Input") != r.Spikes[0] {
 		t.Fatalf("input events %d != spikes %d", tr.Count("Input"), r.Spikes[0])
