@@ -24,7 +24,7 @@ func main() {
 	n := flag.Int("n", 50, "number of evaluation samples")
 	seed := flag.Uint64("seed", 99, "evaluation data seed (distinct from training)")
 	ef := flag.Bool("ef", true, "use early firing")
-	engine := flag.String("engine", "clock", "inference engine: clock (float64 reference), event (event-driven), or quant (fixed-point int8)")
+	engine := flag.String("engine", "clock", "inference engine: clock (float64 reference), event (clock plus an early-exit output stage), or quant (fixed-point int8)")
 	analytic := flag.Bool("analytic", false, "use the analytic baseline engine (disables -ef)")
 	flag.Parse()
 

@@ -22,19 +22,21 @@
 //	snnserve -dataset mnist -scale tiny -cache models -addr :8080
 //	snnserve -dataset mnist -scale tiny -scheme rate -steps 100
 //
-// -engine event serves ttfs models on the event-driven engine with
-// early exit: single-sample requests bypass the batch queue (the
-// "latency" serving mode, pick it per request with "mode":"latency" or
-// server-wide with -mode latency) and stop integrating the output
-// window as soon as the winner is provably undominated. Predictions are
-// identical to the clocked engine's; latency_steps may shrink and the
-// response carries early_exit/events_saved.
+// -engine event serves ttfs models on the clocked pipeline with an
+// early-exit output stage: single-sample requests bypass the batch
+// queue (the "latency" serving mode, pick it per request with
+// "mode":"latency" or server-wide with -mode latency) and stop
+// integrating the output window as soon as the winner is provably
+// undominated. Predictions are identical to the clocked engine's;
+// latency_steps may shrink and the response carries
+// early_exit/events_saved.
 //
 // -engine quant serves ttfs models on the fixed-point int8 engine:
 // weights are quantized once into int8 SoA scatter plans and
-// integration runs on int32 accumulators, trading ≤1% fixture argmax
-// disagreement for a ~2.7× single-sample speedup over the clocked
-// sweep. /metrics reports the active kernel in the "engine" field.
+// integration runs on int32 accumulators, with ≤1% fixture argmax
+// disagreement against the clocked engine; it shares clocked's fire
+// sweep and is no faster on the fixture. /metrics reports the active
+// kernel in the "engine" field.
 //
 // Admission control sits in front of every model: -rate/-burst run a
 // per-client token bucket (keyed by -client-header, falling back to
@@ -92,7 +94,7 @@ func main() {
 	cache := flag.String("cache", "models", "weight cache directory for dataset builds")
 	scheme := flag.String("scheme", "ttfs", "default serving engine: ttfs|event|quant|rate|phase|burst")
 	steps := flag.Int("steps", 100, "default simulation horizon for non-ttfs schemes")
-	engine := flag.String("engine", "clock", "execution engine for ttfs models: clock (clocked reference), event (event-driven with early exit — the latency-mode engine), or quant (fixed-point int8 — the per-core throughput engine)")
+	engine := flag.String("engine", "clock", "execution engine for ttfs models: clock (float64 reference), event (clock plus an early-exit output stage), or quant (int8 weights, int32 accumulators)")
 	mode := flag.String("mode", "", "default serving mode: latency (direct single-sample path)|throughput (batching queue); empty routes automatically per request")
 	ef := flag.Bool("ef", true, "early firing (ttfs engine)")
 	useGO := flag.Bool("go", false, "apply gradient-based kernel optimization at startup (slower start, better accuracy; dataset builds only)")

@@ -10,15 +10,20 @@ import (
 type EngineKind int
 
 const (
-	// EngineClocked sweeps every neuron against the threshold at every
-	// step — the reference engine the others are pinned against.
+	// EngineClocked is the float64 reference pipeline. Its fire sweep
+	// walks arrival-free runs of steps, testing each unfired neuron once
+	// per run and binary-searching the falling θ table for its fire
+	// step — exactly the per-step semantics (pinned against a literal
+	// per-step reference by tests); threshold-noise faults run the
+	// per-step sweep itself.
 	EngineClocked EngineKind = iota
-	// EngineEvent processes analytically predicted fire events instead
-	// of sweeping steps. Results are bit-identical to EngineClocked
-	// (pinned by property tests); with RunConfig.EarlyExit it
-	// additionally stops the output window early once the winner is
-	// provably undominated, which only guarantees the argmax. It is the
-	// latency-optimal single-sample path.
+	// EngineEvent is EngineClocked with an early-exit output stage: with
+	// RunConfig.EarlyExit it stops integrating the output window once
+	// the winner is provably undominated, which guarantees only the
+	// argmax (spike times and counts stay the clocked engine's). Without
+	// EarlyExit it is EngineClocked. On the fixture the exit is within
+	// noise of the full window: 265 vs 281 µs batch-1 with early firing
+	// off, 464 vs 438 µs with it on (2 CPUs, BENCH_2026-10-17_sweep.json).
 	EngineEvent
 	// EngineQuant runs the clocked pipeline on int8 structure-of-arrays
 	// scatter plans with int32 accumulators (internal/core/quant.go):

@@ -219,8 +219,9 @@ func (m *Model) inferQuantBody(sc *InferScratch, input []float64, cfg RunConfig)
 }
 
 // runHiddenStageQuant is runHiddenStage on int32 accumulators: arrivals
-// scatter quantized decode × int8 weight products, and neurons fire
-// when acc ≥ quantized θ(f).
+// scatter quantized decode × int8 weight products, and the shared
+// fireSweep fires neurons when acc ≥ quantized θ(f). The per-step naive
+// reference in quant_test pins its exactness.
 func (m *Model) runHiddenStageQuant(sc *InferScratch, qs *quantStage, st *snn.Stage, outK kernel.Kernel, dec []float64, inTimes, outTimes []int, adv int, res *Result, si int, cfg RunConfig, sf int) {
 	unitInv := math.Exp2(float64(sf)) / qs.step
 	acc := sc.qacc[:st.OutLen]
@@ -232,111 +233,24 @@ func (m *Model) runHiddenStageQuant(sc *InferScratch, qs *quantStage, st *snn.St
 	plan := qs.plan
 
 	buckets := sc.bucketizeInto(inTimes, m.T)
-
-	// Phase 1 — guaranteed integration.
-	for off := 0; off < adv && off < m.T; off++ {
+	scatter := func(off int) {
 		if s := qdec[off]; s != 0 {
 			for _, idx := range buckets[off] {
 				scatterQuant(plan, st, idx, s, acc)
 			}
 		}
 	}
-
-	for i := range outTimes {
-		outTimes[i] = -1
-	}
-	firedCount := 0
-
-	// Phase 2 — fire sweep against the quantized dynamic threshold.
-	//
-	// θ(f) = θ₀·ε(f) decays monotonically, so qthr is nonincreasing and
-	// the fault-free sweep can walk arrival-free runs of steps in one
-	// pass: accumulators are constant within such a run, and a neuron's
-	// fire step — the first f with acc ≥ qthr[f] — falls out of a binary
-	// search over the LUT instead of per-step scans. In the baseline
-	// pipeline (adv = T) every arrival lands in phase 1 and the whole
-	// T-step window collapses to a single pass over the neurons; this is
-	// the quant engine's main win over the float clocked sweep, and the
-	// per-step naive reference in quant_test pins its exactness.
-	// Threshold noise destroys the monotonicity, so that fault path
-	// keeps the literal per-step sweep.
-	if cfg.Faults != nil && cfg.Faults.HasThresholdNoise() {
-		for f := 0; f < m.T; f++ {
-			inOff := adv + f
-			if inOff < m.T {
-				if s := qdec[inOff]; s != 0 {
-					for _, idx := range buckets[inOff] {
-						scatterQuant(plan, st, idx, s, acc)
-					}
-				}
-			}
-			// Noise is injected in real units, then requantized onto the
-			// stage grid — hardware perturbs the comparator's reference,
-			// not the stored integer.
-			thr := clampQ(cfg.Faults.Threshold(si+1, f, outK.Threshold(float64(f))) * unitInv)
-			for j, u := range acc {
-				if outTimes[j] < 0 && u >= thr {
-					outTimes[j] = f
-					firedCount++
-				}
-			}
-		}
-	} else {
-		for f := 0; f < m.T; {
-			if inOff := adv + f; inOff < m.T {
-				if s := qdec[inOff]; s != 0 {
-					for _, idx := range buckets[inOff] {
-						scatterQuant(plan, st, idx, s, acc)
-					}
-				}
-			}
-			// Extend the arrival-free run (f, f1): empty and zero-decode
-			// buckets deliver nothing and cannot change an accumulator.
-			f1 := f + 1
-			for f1 < m.T {
-				io := adv + f1
-				if io >= m.T {
-					f1 = m.T
-					break
-				}
-				if len(buckets[io]) > 0 && qdec[io] != 0 {
-					break
-				}
-				f1++
-			}
-			minThr := qthr[f1-1] // smallest threshold of the run
-			for j, u := range acc {
-				if outTimes[j] < 0 && u >= minThr {
-					lo, hi := f, f1-1
-					for lo < hi {
-						mid := int(uint(lo+hi) >> 1)
-						if u >= qthr[mid] {
-							hi = mid
-						} else {
-							lo = mid + 1
-						}
-					}
-					outTimes[j] = lo
-					firedCount++
-				}
-			}
-			f = f1
+	var noisy func(f int) int32
+	if cfg.Faults.HasThresholdNoise() {
+		// Noise is injected in real units, then requantized onto the
+		// stage grid — hardware perturbs the comparator's reference,
+		// not the stored integer.
+		noisy = func(f int) int32 {
+			return clampQ(cfg.Faults.Threshold(si+1, f, outK.Threshold(float64(f))) * unitInv)
 		}
 	}
-	if cfg.Faults != nil {
-		firedCount = cfg.Faults.ApplyTTFS(si+1, outTimes, m.T)
-	}
-	res.Spikes[si+1] = firedCount
-	res.TotalSpikes = 0
-	for _, s := range res.Spikes {
-		res.TotalSpikes += s
-	}
-	if cfg.CollectSpikeTimes {
-		res.SpikeTimes[si+1] = collectGlobal(outTimes, (si+1)*adv)
-	}
-	if cfg.CollectEvents {
-		res.Events[si+1] = collectEvents(outTimes, (si+1)*adv)
-	}
+	fired := fireSweep(acc, qthr, qdec, buckets, outTimes, adv, scatter, noisy)
+	m.commitBoundary(res, si+1, outTimes, fired, adv, cfg)
 }
 
 // runOutputStageQuant integrates the last hidden layer's spikes into

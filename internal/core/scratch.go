@@ -5,13 +5,14 @@ import (
 )
 
 // InferScratch is the reusable working set of one inference engine: the
-// per-stage potential, fired and refractory (spike-offset) buffers, the
-// decode LUT, the spike-offset buckets, and the arenas that back the
+// per-stage potential and spike-offset buffers, the decode and
+// threshold LUTs, the spike-offset buckets, and the arenas that back the
 // returned Result slices. TTFS coding fires each neuron at most once, so
 // the working set is a fixed function of the model geometry — allocate a
 // scratch once, reuse it per call, and the steady-state hot path
 // allocates nothing (pinned per engine by TestInferWithZeroAllocs,
-// TestInferEventWithZeroAllocs and TestQuantEngineZeroAllocs).
+// TestInferEventWithZeroAllocs, TestEarlyExitZeroAllocs and
+// TestQuantEngineZeroAllocs).
 //
 // A scratch is NOT safe for concurrent use; give each worker its own
 // (internal/serve pools them per engine). Results returned by InferOne
@@ -22,28 +23,20 @@ import (
 type InferScratch struct {
 	// sized-for dimensions (grown on demand, never shrunk)
 	maxLen int // max of InLen and every stage OutLen
-	window int // decode-LUT horizon (model T)
+	window int // LUT horizon (model T)
 
 	// single-sample working state
 	timesA, timesB []int     // ping-pong spike-offset buffers
 	pot            []float64 // hidden-stage membrane potentials
 	dec            []float64 // ε(t) decode LUT, rebuilt per stage
+	thr            []float64 // θ(f) threshold LUT, rebuilt per stage
 	buckets        [][]int   // spike indices grouped by window offset
 
-	// event-engine working state (EngineEvent), allocated lazily by
-	// ensureEvent so clocked-only scratches never pay for it
-	evMaxLen int       // event-buffer neuron capacity
-	evWindow int       // event-buffer window capacity
-	evQ      [][]int32 // candidate bucket queue, one bucket of neurons per fire step
-	evNext   []int32   // per-neuron latest scheduled candidate step (T = none)
-	evStamp  []uint64  // per-epoch touched dedup stamps (see evEpoch)
-	evEpoch  uint64    // monotonic epoch counter; a stamp from any earlier
-	// phase or call compares unequal, so stamps need no per-stage clear
-	evTouched []int32   // neurons touched by this step's arrivals
-	evThr     []float64 // θ(f) threshold LUT, rebuilt per stage
-	// evGain/evLoss back the early-exit suffix bounds over the output
-	// window: the largest total rise/fall any single potential can see
+	// early-exit working state (EngineEvent with RunConfig.EarlyExit),
+	// allocated lazily by ensureEvent: the suffix bounds over the output
+	// window, the largest total rise/fall any single potential can see
 	// from arrivals at offset ≥ off (window+1 entries)
+	evWindow       int
 	evGain, evLoss []float64
 
 	// fixed-point engine working state (EngineQuant), allocated lazily
@@ -61,7 +54,7 @@ type InferScratch struct {
 }
 
 // NewInferScratch allocates a scratch pre-sized for clocked inference
-// on m; the event and quant buffers are sized on first use.
+// on m; the early-exit and quant buffers are sized on first use.
 func NewInferScratch(m *Model) *InferScratch {
 	sc := &InferScratch{}
 	sc.ensure(m)
@@ -84,32 +77,22 @@ func (sc *InferScratch) ensure(m *Model) {
 	}
 	if m.T > sc.window {
 		sc.window = m.T
-		sc.dec = make([]float64, m.T)
+		luts := make([]float64, 2*m.T) // one allocation for both LUTs
+		sc.dec, sc.thr = luts[:m.T:m.T], luts[m.T:]
 		old := sc.buckets
 		sc.buckets = make([][]int, m.T)
 		copy(sc.buckets, old) // keep grown bucket capacity
 	}
 }
 
-// ensureEvent grows the event-engine buffers; only the event pipeline
-// calls it, so clocked inference on a fresh scratch allocates nothing
-// extra. ensure must have run first (it sets maxLen and window).
+// ensureEvent grows the early-exit buffers; only the early-exit output
+// stage calls it, so other inference on a fresh scratch allocates
+// nothing extra. ensure must have run first (it sets window).
 func (sc *InferScratch) ensureEvent() {
-	if sc.maxLen > sc.evMaxLen {
-		sc.evMaxLen = sc.maxLen
-		sc.evNext = make([]int32, sc.maxLen)
-		sc.evStamp = make([]uint64, sc.maxLen)
-		sc.evEpoch = 0
-		sc.evTouched = make([]int32, 0, sc.maxLen)
-	}
 	if sc.window > sc.evWindow {
 		sc.evWindow = sc.window
-		sc.evThr = make([]float64, sc.window)
 		sc.evGain = make([]float64, sc.window+1)
 		sc.evLoss = make([]float64, sc.window+1)
-		oldQ := sc.evQ
-		sc.evQ = make([][]int32, sc.window)
-		copy(sc.evQ, oldQ) // keep grown candidate-bucket capacity
 	}
 }
 
@@ -144,11 +127,11 @@ func (sc *InferScratch) decode(k kernel.Kernel, t int) []float64 {
 	return dec
 }
 
-// thresholds tabulates θ(f) for every step of the fire window — the
-// same values the clocked sweep computes one step at a time, so a
-// table compare and a sweep compare agree bit for bit.
+// thresholds fills the scratch LUT with θ(f) at every step of the fire
+// window — the values a per-step sweep computes one step at a time, so
+// a table compare and a per-step compare agree bit for bit.
 func (sc *InferScratch) thresholds(k kernel.Kernel, t int) []float64 {
-	thr := sc.evThr[:t]
+	thr := sc.thr[:t]
 	for i := range thr {
 		thr[i] = k.Threshold(float64(i))
 	}

@@ -237,18 +237,29 @@ func (r *Result) PredAt(step int) int {
 }
 
 // inferClockedBody runs the clocked pipeline on a prepared scratch
-// without rewinding its arenas, so multi-sample drivers (and the event
-// engine's threshold-noise fallback) can run several samples against
-// one scratch with every Result staying valid.
+// without rewinding its arenas, so multi-sample drivers (and the quant
+// engine's headroom fallback) can run several samples against one
+// scratch with every Result staying valid.
 func (m *Model) inferClockedBody(sc *InferScratch, input []float64, cfg RunConfig) Result {
+	return m.inferFloat(sc, input, cfg, false)
+}
+
+// inferFloat is the float pipeline behind both EngineClocked and
+// EngineEvent: every hidden stage runs runHiddenStage, and the output
+// stage runs the early-exit rule (runOutputStageEvent) when earlyExit
+// is set, else integrates its whole window (runOutputStage).
+func (m *Model) inferFloat(sc *InferScratch, input []float64, cfg RunConfig, earlyExit bool) Result {
 	res, times, next, adv := m.encode(sc, input, cfg)
 	for si := range m.Net.Stages {
 		st := &m.Net.Stages[si]
 		inK := m.K[si] // integration kernel = previous fire kernel
-		windowStart := si * adv
 
 		if st.Output {
-			m.runOutputStage(sc, st, si, inK, times, windowStart, adv, cfg, &res)
+			if earlyExit {
+				m.runOutputStageEvent(sc, st, si, inK, times, si*adv, &res)
+			} else {
+				m.runOutputStage(sc, st, si, inK, times, si*adv, cfg, &res)
+			}
 			return res
 		}
 
@@ -325,60 +336,114 @@ func (m *Model) runHiddenStage(sc *InferScratch, st *snn.Stage, inK, outK kernel
 	plan := m.stagePlan(si)
 
 	// Bucket input spikes by arrival offset within the input window and
-	// tabulate the integration kernel once (the LUT replacement of §V).
+	// tabulate the integration kernel and the threshold once (the LUTs
+	// of §V).
 	buckets := sc.bucketizeInto(inTimes, m.T)
 	dec := sc.decode(inK, m.T)
-
-	// Phase 1 — guaranteed integration: arrivals before the fire phase
-	// opens (input offsets < adv).
-	for off := 0; off < adv && off < m.T; off++ {
+	thr := sc.thresholds(outK, m.T)
+	scatter := func(off int) {
 		for _, idx := range buckets[off] {
 			scatterPlanned(plan, st, idx, dec[off], pot)
 		}
 	}
+	var noisy func(f int) float64
+	if cfg.Faults.HasThresholdNoise() {
+		noisy = func(f int) float64 { return cfg.Faults.Threshold(si+1, f, thr[f]) }
+	}
+	fired := fireSweep(pot, thr, dec, buckets, outTimes, adv, scatter, noisy)
+	m.commitBoundary(res, si+1, outTimes, fired, adv, cfg)
+}
 
+// fireSweep runs one hidden stage's integration and fire phases on the
+// accumulators of either engine (float64 potentials, or the quant
+// engine's int32 units), writing each neuron's fire step into outTimes
+// (-1 = silent) and returning how many fired. scatter(off) integrates
+// the arrivals at input offset off and dec[off] is their decode scale
+// (zero delivers nothing). Offsets below adv land before the fire phase
+// opens (guaranteed integration); offset adv+f lands at fire step f,
+// before that step's threshold test. A neuron that has fired ignores
+// later arrivals (refractory; non-guaranteed integration, §III-C).
+//
+// thr[f] is θ(f) = θ₀·ε(f) on the accumulator grid, and it only falls.
+// Within a run of steps that no arrival touches the potentials are
+// constant, so a neuron tested once against the run's last (lowest)
+// threshold fires in the run iff it crosses, and its fire step is a
+// binary search of thr: the segment-wise closed form of Eq. 7. With
+// early firing off every arrival lands before the fire phase and the
+// whole window is one run. noisy, when set, perturbs θ(f) per step
+// (threshold-noise faults), which breaks the monotonicity, so every
+// unfired neuron is then tested at every step against noisy(f).
+func fireSweep[A float64 | int32](pot, thr, dec []A, buckets [][]int, outTimes []int, adv int, scatter func(off int), noisy func(f int) A) int {
+	t := len(thr)
+	for off := 0; off < adv && off < t; off++ {
+		scatter(off)
+	}
 	for i := range outTimes {
 		outTimes[i] = -1
 	}
-	firedCount := 0
-
-	// Phase 2 — fire phase: local steps f = 0..T-1 at input offsets
-	// adv+f. Arrivals land first, then unfired neurons are tested
-	// against θ(f) = θ₀·ε(f). A neuron that has already fired ignores
-	// later arrivals (refractory; non-guaranteed integration).
-	for f := 0; f < m.T; f++ {
-		inOff := adv + f
-		if inOff < m.T {
-			for _, idx := range buckets[inOff] {
-				scatterPlanned(plan, st, idx, dec[inOff], pot)
+	fired := 0
+	if noisy != nil {
+		for f := 0; f < t; f++ {
+			if off := adv + f; off < t {
+				scatter(off)
+			}
+			theta := noisy(f)
+			for j, u := range pot {
+				if outTimes[j] < 0 && u >= theta {
+					outTimes[j] = f
+					fired++
+				}
 			}
 		}
-		theta := outK.Threshold(float64(f))
-		if cfg.Faults != nil {
-			theta = cfg.Faults.Threshold(si+1, f, theta)
+		return fired
+	}
+	for f := 0; f < t; {
+		if off := adv + f; off < t {
+			scatter(off)
 		}
+		// Extend the arrival-free run [f, f1); nothing arrives past the
+		// input window (adv+f1 ≥ t).
+		f1 := f + 1
+		for f1 < t && adv+f1 < t && (len(buckets[adv+f1]) == 0 || dec[adv+f1] == 0) {
+			f1++
+		}
+		if adv+f1 >= t {
+			f1 = t
+		}
+		last := thr[f1-1]
 		for j, u := range pot {
-			if outTimes[j] < 0 && u >= theta {
-				outTimes[j] = f
-				firedCount++
+			if outTimes[j] < 0 && u >= last {
+				lo, hi := f, f1-1 // invariant: u ≥ thr[hi]
+				for lo < hi {
+					if mid := int(uint(lo+hi) >> 1); u >= thr[mid] {
+						hi = mid
+					} else {
+						lo = mid + 1
+					}
+				}
+				outTimes[j] = lo
+				fired++
 			}
 		}
+		f = f1
 	}
+	return fired
+}
+
+// commitBoundary finishes fire boundary b (= hidden stage b−1) on every
+// engine: the stage's spikes traverse a faulty boundary on the way to
+// the next layer (stuck neurons override, survivors may drop or
+// jitter), then the spike count and the collected times are recorded.
+func (m *Model) commitBoundary(res *Result, b int, outTimes []int, fired, adv int, cfg RunConfig) {
 	if cfg.Faults != nil {
-		// The stage's spikes traverse a faulty boundary on the way to the
-		// next layer: stuck neurons override, survivors may drop or jitter.
-		firedCount = cfg.Faults.ApplyTTFS(si+1, outTimes, m.T)
+		fired = cfg.Faults.ApplyTTFS(b, outTimes, m.T)
 	}
-	res.Spikes[si+1] = firedCount
-	res.TotalSpikes = 0
-	for _, s := range res.Spikes {
-		res.TotalSpikes += s
-	}
+	res.Spikes[b] = fired
 	if cfg.CollectSpikeTimes {
-		res.SpikeTimes[si+1] = collectGlobal(outTimes, (si+1)*adv)
+		res.SpikeTimes[b] = collectGlobal(outTimes, b*adv)
 	}
 	if cfg.CollectEvents {
-		res.Events[si+1] = collectEvents(outTimes, (si+1)*adv)
+		res.Events[b] = collectEvents(outTimes, b*adv)
 	}
 }
 
@@ -387,7 +452,7 @@ func (m *Model) runHiddenStage(sc *InferScratch, st *snn.Stage, inK, outK kernel
 // never fires; it is read at the end of its integration window. The
 // potential buffer comes from the scratch float arena and is returned as
 // res.Potentials.
-func (m *Model) runOutputStage(sc *InferScratch, st *snn.Stage, si int, inK kernel.Kernel, inTimes []int, windowStart, adv int, cfg RunConfig, res *Result) {
+func (m *Model) runOutputStage(sc *InferScratch, st *snn.Stage, si int, inK kernel.Kernel, inTimes []int, windowStart int, cfg RunConfig, res *Result) {
 	pot := sc.floats.take(st.OutLen)
 	st.AddBias(pot)
 	plan := m.stagePlan(si)
@@ -438,17 +503,6 @@ func decodeTable(k kernel.Kernel, t int) []float64 {
 		dec[i] = k.Decode(i)
 	}
 	return dec
-}
-
-// bucketize groups spike indices by their time offset.
-func bucketize(times []int, t int) [][]int {
-	buckets := make([][]int, t)
-	for idx, off := range times {
-		if off >= 0 && off < t {
-			buckets[off] = append(buckets[off], idx)
-		}
-	}
-	return buckets
 }
 
 // SpikeEvent is one (neuron, global time) spike for waveform export.

@@ -178,14 +178,13 @@ func (e *TTFSEngine) InferFrame(input []float64, sample int, timeline bool) Fram
 	return e.impl().inferFrame(input, sample, timeline)
 }
 
-// EventEngine serves a T2FSNN core.Model on the event-driven engine. It
-// is the latency-optimal path: set Run.EarlyExit and each sample stops
-// integrating the output window at the undominated winner, with the
-// prediction guaranteed identical to the clocked engine's (core's
-// early-exit contract) — including under injected faults, where
-// threshold noise falls back to the clocked sweep inside core.
-// Collecting a frame timeline disables the early exit but not the
-// guarantee, so streamed decisions match one-shot ones bit for bit.
+// EventEngine serves a T2FSNN core.Model on core.EngineEvent: the
+// clocked pipeline plus an early-exit output stage. Set Run.EarlyExit
+// and each sample stops integrating the output window at the
+// undominated winner, with the prediction guaranteed identical to the
+// clocked engine's (core's early-exit contract), injected faults
+// included. Collecting a frame timeline disables the early exit but not
+// the guarantee, so streamed decisions match one-shot ones bit for bit.
 type EventEngine modelFields
 
 func (e *EventEngine) impl() modelEngine {

@@ -223,8 +223,8 @@ func (s *Stage) Scatter(idx int, scale float64, potentials []float64) {
 }
 
 // ScatterVisit is Scatter with an explicit visitor: visit(j, contrib) is
-// invoked once per driven synapse with the weighted contribution. The
-// event-driven engine uses it to learn which neurons an arrival touched.
+// invoked once per driven synapse with the weighted contribution, in
+// the visit order Scatter and the cached scatter plans replay.
 func (s *Stage) ScatterVisit(idx int, scale float64, visit func(j int, contrib float64)) {
 	if s.PrePool != nil {
 		p := s.PrePool
