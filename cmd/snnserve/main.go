@@ -226,17 +226,14 @@ func main() {
 		// Defer warmup until after the listener is up: the first
 		// inference builds the model's scatter plan and sizes a pooled
 		// scratch, which would otherwise land on the first user
-		// request's latency. /readyz answers 503 until every model (and
-		// pool arena) is warm, so a gateway or orchestrator never routes
-		// to a replica still paying that cost — while /healthz is live
-		// the moment the listener binds.
-		name, e, p := spec.name, eng, pool
+		// request's latency. /readyz answers 503 until every model is
+		// warm, so a gateway or orchestrator never routes to a replica
+		// still paying that cost — while /healthz is live the moment the
+		// listener binds.
+		name := spec.name
 		warmups = append(warmups, func() {
 			warm := time.Now()
 			srv.Warm()
-			if te, ok := e.(*serve.TTFSEngine); ok && p != nil {
-				p.Warm(te.Model, [][]float64{make([]float64, e.InLen())}, te.Run)
-			}
 			fmt.Fprintf(os.Stderr, "snnserve: model %s (%s) warmed in %s\n",
 				name, desc, time.Since(warm).Round(time.Millisecond))
 		})

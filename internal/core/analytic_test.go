@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,7 @@ func TestEnginesAgreeOnFixture(t *testing.T) {
 	m := fixture.model()
 	for i := 0; i < 25; i++ {
 		in := fixture.x.Data[i*256 : (i+1)*256]
-		if err := m.VerifyEngines(in); err != nil {
+		if err := verifyEngines(m, in); err != nil {
 			t.Fatalf("sample %d: %v", i, err)
 		}
 	}
@@ -32,7 +33,7 @@ func TestEnginesAgreeProperty(t *testing.T) {
 			return true
 		}
 		in := []float64{r.Float64(), r.Float64(), r.Float64()}
-		return m.VerifyEngines(in) == nil
+		return verifyEngines(m, in) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -48,7 +49,7 @@ func TestAnalyticLatencyMatchesClocked(t *testing.T) {
 }
 
 func TestVerifyEnginesDetectsCorruption(t *testing.T) {
-	// sanity: VerifyEngines must actually fail when the engines are fed
+	// sanity: verifyEngines must actually fail when the engines are fed
 	// different models — emulate by perturbing a kernel between runs
 	m, _ := NewModel(tinyNet(), 20, 5, 0)
 	in := []float64{0.5, 0.2, 0.9}
@@ -67,13 +68,44 @@ func TestVerifyEnginesDetectsCorruption(t *testing.T) {
 	}
 }
 
+// verifyEngines runs both the clocked and the analytic baseline engines
+// on the same input and reports any divergence.
+func verifyEngines(m *Model, input []float64) error {
+	clocked := m.InferOne(input, RunConfig{}, InferOpts{})
+	analytic := m.InferAnalytic(input)
+	if clocked.Pred != analytic.Pred {
+		return fmt.Errorf("engines disagree on prediction: clocked %d, analytic %d", clocked.Pred, analytic.Pred)
+	}
+	if clocked.TotalSpikes != analytic.TotalSpikes {
+		return fmt.Errorf("engines disagree on spikes: clocked %d, analytic %d", clocked.TotalSpikes, analytic.TotalSpikes)
+	}
+	for b := range clocked.Spikes {
+		if clocked.Spikes[b] != analytic.Spikes[b] {
+			return fmt.Errorf("boundary %d spikes differ: clocked %d, analytic %d", b, clocked.Spikes[b], analytic.Spikes[b])
+		}
+	}
+	for j := range clocked.Potentials {
+		d := clocked.Potentials[j] - analytic.Potentials[j]
+		if d > 1e-9 || d < -1e-9 {
+			return fmt.Errorf("output potential %d differs: clocked %v, analytic %v", j, clocked.Potentials[j], analytic.Potentials[j])
+		}
+	}
+	return nil
+}
+
+// BenchmarkEngineClocked and BenchmarkEngineAnalytic time the two
+// baseline (early firing off) engines on one fixture sample, clocked on
+// its warm serving scratch.
 func BenchmarkEngineClocked(b *testing.B) {
 	loadFixture(b)
 	m := fixture.model()
 	in := fixture.x.Data[:256]
+	sc := NewInferScratch(m)
+	m.InferOne(in, RunConfig{}, InferOpts{Scratch: sc})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.InferOne(in, RunConfig{}, InferOpts{})
+		m.InferOne(in, RunConfig{}, InferOpts{Scratch: sc})
 	}
 }
 
@@ -81,6 +113,7 @@ func BenchmarkEngineAnalytic(b *testing.B) {
 	loadFixture(b)
 	m := fixture.model()
 	in := fixture.x.Data[:256]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.InferAnalytic(in)

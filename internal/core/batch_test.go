@@ -9,13 +9,17 @@ import (
 )
 
 // sameResult pins bit-identity between a batched and a per-sample
-// result: predictions, spike counts, potentials, timelines, spike
-// times, and events must all match exactly.
+// result: predictions, spike counts, early-exit accounting, potentials,
+// timelines, spike times, and events must all match exactly.
 func sameResult(t *testing.T, tag string, got, want Result) {
 	t.Helper()
 	if got.Pred != want.Pred || got.Latency != want.Latency || got.TotalSpikes != want.TotalSpikes {
 		t.Fatalf("%s: pred/latency/spikes (%d,%d,%d) != (%d,%d,%d)",
 			tag, got.Pred, got.Latency, got.TotalSpikes, want.Pred, want.Latency, want.TotalSpikes)
+	}
+	if got.EarlyExit != want.EarlyExit || got.StepsSaved != want.StepsSaved || got.EventsSaved != want.EventsSaved {
+		t.Fatalf("%s: early exit (%v,%d,%d) != (%v,%d,%d)", tag,
+			got.EarlyExit, got.StepsSaved, got.EventsSaved, want.EarlyExit, want.StepsSaved, want.EventsSaved)
 	}
 	if len(got.Spikes) != len(want.Spikes) {
 		t.Fatalf("%s: spike boundaries %d != %d", tag, len(got.Spikes), len(want.Spikes))
@@ -70,95 +74,98 @@ func sameResult(t *testing.T, tag string, got, want Result) {
 	}
 }
 
-// TestInferBatchMatchesInfer pins the serving-layer contract: InferMany
-// is bit-identical to the per-sample reference path, under every
-// pipeline variant and collection flag.
-func TestInferBatchMatchesInfer(t *testing.T) {
+// engines lists every engine kind the batch differentials sweep.
+var engines = []EngineKind{EngineClocked, EngineEvent, EngineQuant}
+
+// checkLoop runs the batch loop every caller writes — one InferOne per
+// sample on one scratch, each sample's fault stream in cfg.Faults (nil
+// streams inject nothing) — and pins each result, before the next
+// sample reuses the arena, bit-identical to a fresh-scratch InferOne.
+func checkLoop(t *testing.T, tag string, m *Model, sc *InferScratch, inputs [][]float64, cfg RunConfig, streams []*fault.Stream, engine EngineKind) {
+	t.Helper()
+	for i, in := range inputs {
+		c := cfg
+		if streams != nil {
+			c.Faults = streams[i]
+		}
+		got := m.InferOne(in, c, InferOpts{Scratch: sc, Engine: engine})
+		sameResult(t, fmt.Sprintf("%s sample %d", tag, i), got, m.InferOne(in, c, InferOpts{Engine: engine}))
+	}
+}
+
+// fixtureBatch slices the first n fixture samples.
+func fixtureBatch(t testing.TB, n int) [][]float64 {
+	t.Helper()
 	loadFixture(t)
-	m := fixture.model()
-	const n = 24
 	inputs := make([][]float64, n)
 	for i := range inputs {
 		inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
 	}
-	configs := []RunConfig{
-		{},
-		{EarlyFire: true},
-		{EarlyFire: true, EFStart: 13},
-		{CollectTimeline: true, CollectSpikeTimes: true, CollectEvents: true},
-		{EarlyFire: true, CollectTimeline: true},
-	}
-	for ci, cfg := range configs {
-		batch := m.InferMany(inputs, cfg, InferOpts{})
-		if len(batch) != n {
-			t.Fatalf("cfg %d: %d results for %d inputs", ci, len(batch), n)
-		}
-		for i, input := range inputs {
-			sameResult(t, fmt.Sprintf("cfg %d sample %d", ci, i), batch[i], m.InferOne(input, cfg, InferOpts{}))
+	return inputs
+}
+
+// TestInferBatchMatchesInfer pins the serving-layer contract: a batch,
+// run as a per-sample loop on one scratch carried across every engine
+// and pipeline variant, is bit-identical to per-sample fresh inference.
+func TestInferBatchMatchesInfer(t *testing.T) {
+	inputs := fixtureBatch(t, 24)
+	m := fixture.model()
+	sc := NewInferScratch(m)
+	for _, engine := range engines {
+		for ci, cfg := range scratchConfigs {
+			if engine == EngineEvent {
+				cfg.EarlyExit = ci%2 == 1
+			}
+			checkLoop(t, fmt.Sprintf("engine %d cfg %d", engine, ci), m, sc, inputs, cfg, nil, engine)
 		}
 	}
 }
 
-// InferMany must route each sample's own fault stream exactly as the
-// per-sample path does.
+// The batch loop must route each sample's own fault stream exactly as
+// the per-sample path does, on every engine, with faulted and clean
+// samples mixed on one scratch.
 func TestInferBatchMatchesInferUnderFaults(t *testing.T) {
-	loadFixture(t)
+	inputs := fixtureBatch(t, 10)
 	m := fixture.model()
 	inj, err := fault.New(fault.Config{Seed: 7, Drop: 0.2, Jitter: 2, StuckSilent: 0.05, ThresholdNoise: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 10
-	inputs := make([][]float64, n)
-	streams := make([]*fault.Stream, n)
-	for i := range inputs {
-		inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
+	streams := make([]*fault.Stream, len(inputs))
+	for i := range streams {
 		streams[i] = inj.Sample(i)
 	}
 	streams[3] = nil // mixed batch: one sample without injection
+	sc := NewInferScratch(m)
 	cfg := RunConfig{EarlyFire: true, CollectTimeline: true}
-	batch := m.InferMany(inputs, cfg, InferOpts{Faults: streams})
-	for i, input := range inputs {
-		ref := cfg
-		ref.Faults = streams[i]
-		sameResult(t, fmt.Sprintf("faulted sample %d", i), batch[i], m.InferOne(input, ref, InferOpts{}))
+	for _, engine := range engines {
+		checkLoop(t, fmt.Sprintf("faulted engine %d", engine), m, sc, inputs, cfg, streams, engine)
 	}
 }
 
-func TestInferBatchEmptyAndValidation(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	if got := m.InferMany(nil, RunConfig{}, InferOpts{}); len(got) != 0 {
-		t.Fatalf("empty batch returned %d results", len(got))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched fault slice accepted")
-		}
-	}()
-	m.InferMany(make([][]float64, 2), RunConfig{}, InferOpts{Faults: make([]*fault.Stream, 3)})
-}
-
-// BenchmarkInferBatch measures the sequential InferMany loop in its serving
-// configuration: scratch and the model's scatter plan warmed before the
-// timer, so allocs/op pins 0 and benchdiff can gate regressions on this
-// path the same way it gates the parallel and event benchmarks.
+// BenchmarkInferBatch measures the sequential batch loop in its serving
+// configuration — one InferOne per sample on one scratch — with the
+// scratch and the model's scatter plan warmed before the timer, so
+// allocs/op pins 0 and benchdiff can gate regressions on this path the
+// same way it gates the parallel and event benchmarks.
 func BenchmarkInferBatch(b *testing.B) {
 	loadFixture(b)
 	m := fixture.model()
 	cfg := RunConfig{EarlyFire: true}
 	for _, size := range []int{1, 8, 32} {
-		inputs := make([][]float64, size)
-		for i := range inputs {
-			inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
-		}
+		inputs := fixtureBatch(b, size)
 		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
 			sc := NewInferScratch(m)
-			m.InferMany(inputs, cfg, InferOpts{Scratch: sc})
+			loop := func() {
+				for _, in := range inputs {
+					m.InferOne(in, cfg, InferOpts{Scratch: sc})
+				}
+			}
+			loop()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.InferMany(inputs, cfg, InferOpts{Scratch: sc})
+				loop()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/sample")
 		})

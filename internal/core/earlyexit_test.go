@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -77,7 +78,7 @@ func TestEarlyExitProperty(t *testing.T) {
 		if r.Intn(2) == 0 {
 			cfg = RunConfig{EarlyFire: true, EFStart: 1 + r.Intn(m.T)}
 		}
-		return m.VerifyEarlyExit(in, cfg) == nil
+		return verifyEarlyExit(m, in, cfg) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -107,7 +108,7 @@ func TestEarlyExitUnderFaults(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			in := fixture.x.Data[i*256 : (i+1)*256]
 			cfg := RunConfig{EarlyFire: true, Faults: inj.Sample(i)}
-			if err := m.VerifyEarlyExit(in, cfg); err != nil {
+			if err := verifyEarlyExit(m, in, cfg); err != nil {
 				t.Fatalf("%s sample %d: %v", name, i, err)
 			}
 			cfg.EarlyExit = true
@@ -139,66 +140,40 @@ func TestEarlyExitZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestInferManyEventMatchesInferOne pins the event engine's batch loop:
-// one scratch across the whole batch, every Result still valid at the
-// end (the arena is rewound once per call, not per sample), each equal
-// to its per-sample InferOne — including per-sample fault streams.
+// TestInferManyEventMatchesInferOne pins the event engine's batch
+// loop: one scratch across the whole batch, each sample's result —
+// early-exit accounting included — equal to its fresh InferOne,
+// including per-sample fault streams.
 func TestInferManyEventMatchesInferOne(t *testing.T) {
-	loadFixture(t)
+	inputs := fixtureBatch(t, 12)
 	m := fixture.model()
 	inj, err := fault.New(fault.Config{Seed: 3, Drop: 0.1, Jitter: 1, ThresholdNoise: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 12
-	inputs := make([][]float64, n)
-	streams := make([]*fault.Stream, n)
-	for i := range inputs {
-		inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
-		if i%2 == 0 {
-			streams[i] = inj.Sample(i)
-		}
+	streams := make([]*fault.Stream, len(inputs))
+	for i := 0; i < len(inputs); i += 2 {
+		streams[i] = inj.Sample(i)
 	}
 	cfg := RunConfig{EarlyFire: true, EarlyExit: true}
-	got := m.InferMany(inputs, cfg, InferOpts{Engine: EngineEvent, Faults: streams})
-	for i := range inputs {
-		c := cfg
-		c.Faults = streams[i]
-		want := m.InferOne(inputs[i], c, InferOpts{Engine: EngineEvent})
-		if got[i].Pred != want.Pred || got[i].Latency != want.Latency ||
-			got[i].TotalSpikes != want.TotalSpikes || got[i].EarlyExit != want.EarlyExit ||
-			got[i].StepsSaved != want.StepsSaved || got[i].EventsSaved != want.EventsSaved {
-			t.Fatalf("sample %d: batch %+v != single %+v", i, got[i], want)
-		}
+	checkLoop(t, "event", m, NewInferScratch(m), inputs, cfg, streams, EngineEvent)
+}
+
+// verifyEarlyExit checks the early-exit event engine's argmax contract
+// against the clocked engine on one input: identical predictions, with
+// the event run free to stop the output window early.
+func verifyEarlyExit(m *Model, input []float64, cfg RunConfig) error {
+	clocked := m.InferOne(input, cfg, InferOpts{})
+	cfg.EarlyExit = true
+	event := m.InferOne(input, cfg, InferOpts{Engine: EngineEvent})
+	if clocked.Pred != event.Pred {
+		return fmt.Errorf("early exit changed the prediction: clocked %d, event %d (exit=%v, steps saved %d)",
+			clocked.Pred, event.Pred, event.EarlyExit, event.StepsSaved)
 	}
-}
-
-// The options API rejects fault streams passed through the wrong field:
-// the single-sample entry takes cfg.Faults, the batch entry opts.Faults.
-func TestInferOptsFaultFieldValidation(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	in := fixture.x.Data[:256]
-	mustPanic(t, "InferOne with opts.Faults", func() {
-		m.InferOne(in, RunConfig{}, InferOpts{Faults: []*fault.Stream{nil}})
-	})
-	mustPanic(t, "InferMany with cfg.Faults", func() {
-		inj, _ := fault.New(fault.Config{Seed: 1, Drop: 0.1})
-		m.InferMany([][]float64{in}, RunConfig{Faults: inj.Sample(0)}, InferOpts{})
-	})
-	mustPanic(t, "InferMany with mismatched stream count", func() {
-		m.InferMany([][]float64{in}, RunConfig{}, InferOpts{Faults: make([]*fault.Stream, 2)})
-	})
-}
-
-func mustPanic(t *testing.T, name string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: no panic", name)
-		}
-	}()
-	f()
+	if event.Latency > clocked.Latency {
+		return fmt.Errorf("early-exit latency %d exceeds clocked %d", event.Latency, clocked.Latency)
+	}
+	return nil
 }
 
 // BenchmarkInferEventEarlyExit times batch-1 latency of the early-exit

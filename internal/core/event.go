@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/kernel"
@@ -166,21 +165,4 @@ func bestTwo(v []float64) (best, second float64, bi int) {
 		}
 	}
 	return best, second, bi
-}
-
-// VerifyEarlyExit checks the early-exit event engine's argmax contract
-// against the clocked engine on one input: identical predictions, with
-// the event run free to stop the output window early.
-func (m *Model) VerifyEarlyExit(input []float64, cfg RunConfig) error {
-	clocked := m.InferOne(input, cfg, InferOpts{})
-	cfg.EarlyExit = true
-	event := m.InferOne(input, cfg, InferOpts{Engine: EngineEvent})
-	if clocked.Pred != event.Pred {
-		return fmt.Errorf("core: early exit changed the prediction: clocked %d, event %d (exit=%v, steps saved %d)",
-			clocked.Pred, event.Pred, event.EarlyExit, event.StepsSaved)
-	}
-	if event.Latency > clocked.Latency {
-		return fmt.Errorf("core: early-exit latency %d exceeds clocked %d", event.Latency, clocked.Latency)
-	}
-	return nil
 }

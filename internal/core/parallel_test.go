@@ -12,12 +12,10 @@ import (
 // the odd ones (mixed nil/faulted, like a real serving batch).
 func parallelInputs(t testing.TB, n int, inj *fault.Injector) ([][]float64, []*fault.Stream) {
 	t.Helper()
-	loadFixture(t)
-	inputs := make([][]float64, n)
+	inputs := fixtureBatch(t, n)
 	streams := make([]*fault.Stream, n)
-	for i := range inputs {
-		inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
-		if inj != nil && i%2 == 1 {
+	if inj != nil {
+		for i := 1; i < n; i += 2 {
 			streams[i] = inj.Sample(i)
 		}
 	}
@@ -38,12 +36,50 @@ func perSample(m *Model, inputs [][]float64, cfg RunConfig, streams []*fault.Str
 	return want
 }
 
-// TestInferBatchParallelMatchesSequential is the pool differential:
-// InferMany on a pool must be bit-identical to per-sample InferOne at
-// every worker count — including counts above the batch size — on
-// every engine and pipeline variant, with per-sample fault streams
-// active. Every sample is its own chunk, and min(workers, n) workers
-// are engaged, so a batch of 2 on 2 workers runs on both.
+// workerScratches returns one scratch per worker index of p, each
+// warmed on the whole batch (a worker may claim any subset of it) so
+// that steady-state pooled calls allocate nothing.
+func workerScratches(m *Model, p *Pool, inputs [][]float64, cfg RunConfig) []*InferScratch {
+	scr := make([]*InferScratch, p.Workers())
+	for w := range scr {
+		scr[w] = NewInferScratch(m)
+		for _, in := range inputs {
+			m.InferOne(in, cfg, InferOpts{Scratch: scr[w]})
+		}
+	}
+	return scr
+}
+
+// pooledBatch builds the pooled batch loop internal/serve runs as one
+// closure, so a steady-state call allocates nothing: Pool.Each claims
+// the samples one per chunk, each sample runs InferOne with its own
+// fault stream on its worker's scratch, and keep receives the result
+// before that scratch is reused.
+func pooledBatch(m *Model, p *Pool, scr []*InferScratch, inputs [][]float64, cfg RunConfig, streams []*fault.Stream, engine EngineKind, keep func(i int, r Result)) func() {
+	fn := func(lo, hi, worker int) {
+		for i := lo; i < hi; i++ {
+			c := cfg
+			if streams != nil {
+				c.Faults = streams[i]
+			}
+			keep(i, m.InferOne(inputs[i], c, InferOpts{Scratch: scr[worker], Engine: engine}))
+		}
+	}
+	return func() { p.Each(len(inputs), 1, fn) }
+}
+
+// cloneResult copies the arena-backed slices out of r.
+func cloneResult(r Result) Result {
+	r.Spikes = append([]int(nil), r.Spikes...)
+	r.Potentials = append([]float64(nil), r.Potentials...)
+	return r
+}
+
+// TestInferBatchParallelMatchesSequential is the pool differential: the
+// pooled batch loop on per-worker scratches must be bit-identical to
+// per-sample InferOne at every worker count — counts above the batch
+// size included — on every engine and pipeline variant, with per-sample
+// fault streams active. Every sample is its own chunk.
 func TestInferBatchParallelMatchesSequential(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -51,62 +87,60 @@ func TestInferBatchParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := []EngineKind{EngineClocked, EngineEvent, EngineQuant}
-	for _, workers := range []int{1, 2, 4, 8} {
-		p := NewPool(ParallelOpts{Workers: workers})
-		for _, n := range []int{1, 2, 10, 32, 70} {
-			inputs, streams := parallelInputs(t, n, inj)
-			for _, engine := range engines {
-				for ci, cfg := range scratchConfigs {
-					if engine == EngineEvent {
-						cfg.EarlyExit = ci%2 == 1
-					}
+	counts := []int{1, 2, 4, 8}
+	pools := make([]*Pool, len(counts))
+	scrs := make([][]*InferScratch, len(counts))
+	for k, workers := range counts {
+		pools[k] = NewPool(ParallelOpts{Workers: workers})
+		defer pools[k].Close()
+		scrs[k] = workerScratches(m, pools[k], nil, RunConfig{})
+	}
+	for _, n := range []int{1, 2, 10, 32, 70} {
+		inputs, streams := parallelInputs(t, n, inj)
+		got := make([]Result, n)
+		for _, engine := range engines {
+			for ci, cfg := range scratchConfigs {
+				if engine == EngineEvent {
+					cfg.EarlyExit = ci%2 == 1
+				}
+				want := perSample(m, inputs, cfg, streams, engine)
+				for k, p := range pools {
 					before := p.Chunks()
-					got := m.InferMany(inputs, cfg, InferOpts{Pool: p, Faults: streams, Engine: engine})
+					pooledBatch(m, p, scrs[k], inputs, cfg, streams, engine, func(i int, r Result) { got[i] = cloneResult(r) })()
 					if d := p.Chunks() - before; d != uint64(n) {
-						t.Fatalf("w=%d n=%d engine %d: dispatched %d chunks, want %d", workers, n, engine, d, n)
-					}
-					// An engaged worker sizes its scratch before claiming;
-					// scratches only grow, so the count never drops.
-					sized := 0
-					for _, sc := range p.scr {
-						if sc.maxLen > 0 {
-							sized++
-						}
-					}
-					if engaged := min(workers, n); sized < engaged {
-						t.Fatalf("w=%d n=%d: %d worker scratches used, want ≥ %d", workers, n, sized, engaged)
-					}
-					want := perSample(m, inputs, cfg, streams, engine)
-					if len(got) != len(want) {
-						t.Fatalf("w=%d n=%d engine %d cfg %d: %d results, want %d", workers, n, engine, ci, len(got), len(want))
+						t.Fatalf("w=%d n=%d engine %d: dispatched %d chunks, want %d", counts[k], n, engine, d, n)
 					}
 					for i := range got {
-						sameResult(t, fmt.Sprintf("w=%d n=%d engine %d cfg %d sample %d", workers, n, engine, ci, i), got[i], want[i])
+						sameResult(t, fmt.Sprintf("w=%d n=%d engine %d cfg %d sample %d", counts[k], n, engine, ci, i), got[i], want[i])
 					}
 				}
 			}
 		}
-		p.Close()
 	}
 }
 
-// TestInferBatchParallelNilPool pins the nil-pool fallback to the
-// sequential per-sample loop (freshly allocated results).
+// TestInferBatchParallelNilPool pins the nil-pool fallback: the pooled
+// batch loop runs on the caller, dispatches no chunks, and matches
+// per-sample InferOne.
 func TestInferBatchParallelNilPool(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
 	inputs, _ := parallelInputs(t, 5, nil)
 	cfg := RunConfig{}
-	got := m.InferMany(inputs, cfg, InferOpts{Pool: nil})
+	var p *Pool
+	got := make([]Result, len(inputs))
+	pooledBatch(m, p, workerScratches(m, p, nil, cfg), inputs, cfg, nil, EngineClocked, func(i int, r Result) { got[i] = cloneResult(r) })()
+	if c := p.Chunks(); c != 0 {
+		t.Errorf("nil pool dispatched %d chunks, want 0", c)
+	}
 	want := perSample(m, inputs, cfg, nil, EngineClocked)
 	for i := range got {
 		sameResult(t, fmt.Sprintf("sample %d", i), got[i], want[i])
 	}
 }
 
-// TestInferBatchParallelZeroAllocs gates the per-worker arena claim:
-// once every worker's scratch is warm, a steady-state parallel batch —
+// TestInferBatchParallelZeroAllocs gates the pooled batch loop: once
+// every worker's scratch is warm, a steady-state parallel batch —
 // including the fan-out machinery itself — allocates nothing.
 func TestInferBatchParallelZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -118,13 +152,13 @@ func TestInferBatchParallelZeroAllocs(t *testing.T) {
 	defer p.Close()
 	inputs, _ := parallelInputs(t, 32, nil)
 	cfg := RunConfig{EarlyFire: true}
-	opts := InferOpts{Pool: p}
-	p.Warm(m, inputs, cfg) // deterministic: any worker can take any sample
-	for i := 0; i < 2; i++ {
-		m.InferMany(inputs, cfg, opts)
+	scr := workerScratches(m, p, inputs, cfg)
+	run := pooledBatch(m, p, scr, inputs, cfg, nil, EngineClocked, func(int, Result) {})
+	for i := 0; i < 2; i++ { // start the workers
+		run()
 	}
-	if n := testing.AllocsPerRun(20, func() { m.InferMany(inputs, cfg, opts) }); n != 0 {
-		t.Errorf("InferMany on a pool allocates %.1f/op, want 0", n)
+	if n := testing.AllocsPerRun(20, run); n != 0 {
+		t.Errorf("pooled batch loop allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -207,9 +241,9 @@ func TestPoolPanicPropagates(t *testing.T) {
 }
 
 // TestInferInputLengthPanics: every engine rejects a wrong-length input
-// with the same formatted panic, both single-sample and inside a
-// pool-sharded InferMany, where the worker's panic must reach the
-// caller and leave the pool serving correct results afterwards.
+// with the same formatted panic, both single-sample and inside the
+// pooled batch loop, where the worker's panic must reach the caller and
+// leave the pool serving correct results afterwards.
 func TestInferInputLengthPanics(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -234,87 +268,16 @@ func TestInferInputLengthPanics(t *testing.T) {
 
 			p := NewPool(ParallelOpts{Workers: 2})
 			defer p.Close()
-			pooled := InferOpts{Engine: eng, Pool: p}
-			expectPanic(t, "pooled InferMany", func() {
-				m.InferMany([][]float64{good, bad, good, good}, RunConfig{}, pooled)
-			})
+			scr := workerScratches(m, p, nil, RunConfig{})
+			noop := func(int, Result) {}
+			expectPanic(t, "pooled batch", pooledBatch(m, p, scr, [][]float64{good, bad, good, good}, RunConfig{}, nil, eng, noop))
 			inputs := [][]float64{good, fixture.x.Data[256:512], fixture.x.Data[512:768]}
-			got := m.InferMany(inputs, RunConfig{}, pooled)
+			got := make([]Result, len(inputs))
+			pooledBatch(m, p, scr, inputs, RunConfig{}, nil, eng, func(i int, r Result) { got[i] = cloneResult(r) })()
 			for i, in := range inputs {
 				sameResult(t, fmt.Sprintf("after panic, sample %d", i), got[i], m.InferOne(in, RunConfig{}, opts))
 			}
 		})
-	}
-}
-
-// TestInferBatchParallelStress is the -race stress: more workers than
-// chunks, a single worker, and concurrent Each traffic on a shared pool
-// interleaved with batch calls consumed under a caller lock (the serve
-// engine pattern).
-func TestInferBatchParallelStress(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	cfg := RunConfig{EarlyFire: true}
-	inputs, _ := parallelInputs(t, 20, nil)
-	want := perSample(m, inputs, cfg, nil, EngineClocked)
-
-	// Workers far above the chunk count: only some claim work.
-	p8 := NewPool(ParallelOpts{Workers: 8})
-	for trial := 0; trial < 20; trial++ {
-		got := m.InferMany(inputs, cfg, InferOpts{Pool: p8})
-		for i := range got {
-			sameResult(t, fmt.Sprintf("w8 trial %d sample %d", trial, i), got[i], want[i])
-		}
-	}
-	p8.Close()
-
-	// Workers = 1 runs on the caller's goroutine.
-	p1 := NewPool(ParallelOpts{Workers: 1})
-	got := m.InferMany(inputs, cfg, InferOpts{Pool: p1})
-	for i := range got {
-		sameResult(t, fmt.Sprintf("w1 sample %d", i), got[i], want[i])
-	}
-	p1.Close()
-
-	// Shared pool under concurrent callers: batch results consumed under
-	// an external lock, Each results through disjoint slices.
-	shared := NewPool(ParallelOpts{Workers: 4})
-	defer shared.Close()
-	var batchMu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for trial := 0; trial < 5; trial++ {
-				if g%2 == 0 {
-					batchMu.Lock()
-					rs := m.InferMany(inputs, cfg, InferOpts{Pool: shared})
-					for i := range rs {
-						if rs[i].Pred != want[i].Pred {
-							t.Errorf("g%d trial %d sample %d: pred %d, want %d", g, trial, i, rs[i].Pred, want[i].Pred)
-						}
-					}
-					batchMu.Unlock()
-				} else {
-					sum := make([]int, 40)
-					shared.Each(len(sum), 3, func(lo, hi, w int) {
-						for i := lo; i < hi; i++ {
-							sum[i] = i + g
-						}
-					})
-					for i := range sum {
-						if sum[i] != i+g {
-							t.Errorf("g%d trial %d: Each index %d = %d", g, trial, i, sum[i])
-						}
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if shared.Chunks() == 0 {
-		t.Error("shared pool dispatched no chunks")
 	}
 }
 
@@ -355,7 +318,7 @@ func TestEvaluatePoolMatchesSequential(t *testing.T) {
 }
 
 // BenchmarkInferBatchParallel sweeps worker counts over serving-sized
-// batches on InferMany's pool path; ns/sample at workers=1 vs N
+// batches on the pooled batch loop; ns/sample at workers=1 vs N
 // quantifies the parallel win (bounded by GOMAXPROCS — on a single-core
 // host the counts tie).
 func BenchmarkInferBatchParallel(b *testing.B) {
@@ -368,16 +331,13 @@ func BenchmarkInferBatchParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("batch%d/workers%d", size, workers), func(b *testing.B) {
 				p := NewPool(ParallelOpts{Workers: workers})
 				defer p.Close()
-				// Warm sizes every worker's arena for the whole batch (a
-				// worker may claim any subset of samples on a given call),
-				// then one live call starts the goroutines.
-				p.Warm(m, inputs, cfg)
-				opts := InferOpts{Pool: p}
-				m.InferMany(inputs, cfg, opts)
+				scr := workerScratches(m, p, inputs, cfg)
+				run := pooledBatch(m, p, scr, inputs, cfg, nil, EngineClocked, func(int, Result) {})
+				run() // start the workers
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.InferMany(inputs, cfg, opts)
+					run()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/sample")
 			})

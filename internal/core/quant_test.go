@@ -381,41 +381,21 @@ func TestQuantEngineZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestInferManyQuantMatchesInferOne pins the batch loop: one scratch
-// across the batch, every Result valid at the end, each equal to its
-// per-sample InferOne — including per-sample fault streams.
+// TestInferManyQuantMatchesInferOne pins the quant engine's batch
+// loop: one scratch across the batch, each sample's result equal to its
+// fresh InferOne — including per-sample fault streams.
 func TestInferManyQuantMatchesInferOne(t *testing.T) {
-	loadFixture(t)
+	inputs := fixtureBatch(t, 12)
 	m := fixture.model()
 	inj, err := fault.New(fault.Config{Seed: 3, Drop: 0.1, Jitter: 1, ThresholdNoise: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 12
-	inputs := make([][]float64, n)
-	streams := make([]*fault.Stream, n)
-	for i := range inputs {
-		inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
-		if i%2 == 0 {
-			streams[i] = inj.Sample(i)
-		}
+	streams := make([]*fault.Stream, len(inputs))
+	for i := 0; i < len(inputs); i += 2 {
+		streams[i] = inj.Sample(i)
 	}
-	cfg := RunConfig{EarlyFire: true}
-	got := m.InferMany(inputs, cfg, InferOpts{Engine: EngineQuant, Faults: streams})
-	for i := range inputs {
-		c := cfg
-		c.Faults = streams[i]
-		want := m.InferOne(inputs[i], c, InferOpts{Engine: EngineQuant})
-		if got[i].Pred != want.Pred || got[i].Latency != want.Latency ||
-			got[i].TotalSpikes != want.TotalSpikes {
-			t.Fatalf("sample %d: batch %+v != single %+v", i, got[i], want)
-		}
-		for j := range want.Potentials {
-			if got[i].Potentials[j] != want.Potentials[j] {
-				t.Fatalf("sample %d potential %d: %v != %v", i, j, got[i].Potentials[j], want.Potentials[j])
-			}
-		}
-	}
+	checkLoop(t, "quant", m, NewInferScratch(m), inputs, RunConfig{EarlyFire: true}, streams, EngineQuant)
 }
 
 // A model whose integer headroom cannot fit int32 even at shift 0 must

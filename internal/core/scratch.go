@@ -15,11 +15,12 @@ import (
 // TestQuantEngineZeroAllocs).
 //
 // A scratch is NOT safe for concurrent use; give each worker its own
-// (internal/serve pools them per engine). Results returned by InferOne
-// and InferMany alias scratch memory: they are valid until the next
-// call that reuses the same scratch. Callers that retain results across
-// calls must copy Spikes and Potentials first — or pass a nil scratch,
-// which falls back to a fresh single-use arena.
+// (internal/serve keeps one per pool worker plus a sync.Pool of spares
+// per engine). Results returned by InferOne alias scratch memory: they
+// are valid until the next call that reuses the same scratch. Callers
+// that retain results across calls must copy Spikes and Potentials
+// first — or pass a nil scratch, which falls back to a fresh single-use
+// arena.
 type InferScratch struct {
 	// sized-for dimensions (grown on demand, never shrunk)
 	maxLen int // max of InLen and every stage OutLen
@@ -47,10 +48,9 @@ type InferScratch struct {
 	qdec    []int32 // quantized decode LUT, rebuilt per stage
 	qthr    []int32 // quantized threshold LUT, rebuilt per stage
 
-	// result arenas (reset per top-level call)
-	ints    intArena   // Result.Spikes
-	floats  floatArena // Result.Potentials (output-stage membranes)
-	results []Result   // InferMany return backing
+	// result arenas (reset per InferOne)
+	ints   intArena   // Result.Spikes
+	floats floatArena // Result.Potentials (output-stage membranes)
 }
 
 // NewInferScratch allocates a scratch pre-sized for clocked inference
@@ -111,7 +111,7 @@ func (sc *InferScratch) ensureQuant() {
 	}
 }
 
-// reset rewinds the result arenas; called once per top-level inference.
+// reset rewinds the result arenas; called once per InferOne.
 func (sc *InferScratch) reset() {
 	sc.ints.reset()
 	sc.floats.reset()
@@ -151,18 +151,6 @@ func (sc *InferScratch) bucketizeInto(times []int, t int) [][]int {
 		}
 	}
 	return buckets
-}
-
-// takeResults returns a zeroed result slice backed by the scratch.
-func (sc *InferScratch) takeResults(n int) []Result {
-	if cap(sc.results) < n {
-		sc.results = make([]Result, n)
-	}
-	res := sc.results[:n]
-	for i := range res {
-		res[i] = Result{}
-	}
-	return res
 }
 
 // intArena hands out zeroed []int blocks from a reusable backing array.

@@ -61,8 +61,8 @@ func TestInferWithMatchesInferUnderFaults(t *testing.T) {
 }
 
 // TestInferBatchWithMatchesFresh pins batch scratch reuse: one scratch
-// across successive InferMany batches of different sizes is
-// bit-identical to nil-scratch InferMany.
+// across successive batch loops of different sizes, with per-sample
+// fault streams, is bit-identical to fresh-scratch inference.
 func TestInferBatchWithMatchesFresh(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -72,25 +72,13 @@ func TestInferBatchWithMatchesFresh(t *testing.T) {
 	}
 	sc := NewInferScratch(m)
 	for _, n := range []int{1, 8, 70} {
-		inputs := make([][]float64, n)
+		inputs := fixtureBatch(t, n)
 		streams := make([]*fault.Stream, n)
-		for i := range inputs {
-			inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
-			if i%2 == 1 {
-				streams[i] = inj.Sample(i)
-			}
+		for i := 1; i < n; i += 2 {
+			streams[i] = inj.Sample(i)
 		}
 		for ci, cfg := range scratchConfigs {
-			got := m.InferMany(inputs, cfg, InferOpts{Scratch: sc, Faults: streams})
-			// build the reference with per-call streams: Stream state is
-			// deterministic per (sample, boundary), so reuse is safe
-			want := m.InferMany(inputs, cfg, InferOpts{Faults: streams})
-			if len(got) != len(want) {
-				t.Fatalf("n=%d cfg %d: %d results, want %d", n, ci, len(got), len(want))
-			}
-			for i := range got {
-				sameResult(t, fmt.Sprintf("n=%d cfg %d sample %d", n, ci, i), got[i], want[i])
-			}
+			checkLoop(t, fmt.Sprintf("n=%d cfg %d", n, ci), m, sc, inputs, cfg, streams, EngineClocked)
 		}
 	}
 }
@@ -116,11 +104,7 @@ func TestScratchSharedAcrossModels(t *testing.T) {
 	got = small.InferOne(tinyIn, cfg, InferOpts{Scratch: sc})
 	sameResult(t, "small after big", got, small.InferOne(tinyIn, cfg, InferOpts{}))
 
-	batch := small.InferMany([][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, InferOpts{Scratch: sc})
-	want := small.InferMany([][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, InferOpts{})
-	for i := range batch {
-		sameResult(t, fmt.Sprintf("tiny batch %d", i), batch[i], want[i])
-	}
+	checkLoop(t, "tiny batch", small, sc, [][]float64{tinyIn, {0.1, 0.8, 0.4}}, cfg, nil, EngineClocked)
 }
 
 // randomDenseNet builds a dense net with rng-drawn geometry and weights.
@@ -149,7 +133,7 @@ func randomDenseNet(rng *tensor.RNG, depth int) *snn.Net {
 }
 
 // TestInferWithRandomNets fuzzes the scratch path over random dense nets
-// of varying depth and width, single and batched, one scratch throughout.
+// of varying depth and width, one scratch throughout.
 func TestInferWithRandomNets(t *testing.T) {
 	rng := tensor.NewRNG(99)
 	sc := NewInferScratch(nil2model(t, randomDenseNet(rng, 2)))
@@ -164,14 +148,8 @@ func TestInferWithRandomNets(t *testing.T) {
 				in[j] = rng.Float64()
 			}
 			inputs[i] = in
-			got := m.InferOne(in, cfg, InferOpts{Scratch: sc})
-			sameResult(t, fmt.Sprintf("trial %d sample %d", trial, i), got, m.InferOne(in, cfg, InferOpts{}))
 		}
-		batch := m.InferMany(inputs, cfg, InferOpts{Scratch: sc})
-		want := m.InferMany(inputs, cfg, InferOpts{})
-		for i := range batch {
-			sameResult(t, fmt.Sprintf("trial %d batch %d", trial, i), batch[i], want[i])
-		}
+		checkLoop(t, fmt.Sprintf("trial %d", trial), m, sc, inputs, cfg, nil, EngineClocked)
 	}
 }
 
@@ -201,23 +179,26 @@ func TestInferWithZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestInferBatchWithZeroAllocs is the batch gate: steady-state InferMany
-// calls reuse every buffer, including the result slice itself.
+// TestInferBatchWithZeroAllocs is the batch gate: a steady-state batch
+// loop on one scratch allocates nothing on any engine, with the engines
+// taking turns on that scratch.
 func TestInferBatchWithZeroAllocs(t *testing.T) {
-	loadFixture(t)
+	inputs := fixtureBatch(t, 8)
 	m := fixture.model()
 	sc := NewInferScratch(m)
-	inputs := make([][]float64, 8)
-	for i := range inputs {
-		inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
+	cfg := RunConfig{EarlyFire: true, EarlyExit: true}
+	loop := func() {
+		for _, engine := range engines {
+			for _, in := range inputs {
+				m.InferOne(in, cfg, InferOpts{Scratch: sc, Engine: engine})
+			}
+		}
 	}
-	cfg := RunConfig{EarlyFire: true}
-	opts := InferOpts{Scratch: sc}
-	for i := 0; i < 3; i++ { // warm: plan, arenas, buckets
-		m.InferMany(inputs, cfg, opts)
+	for i := 0; i < 3; i++ { // warm: plans, arenas, buckets, bound tables
+		loop()
 	}
-	if n := testing.AllocsPerRun(20, func() { m.InferMany(inputs, cfg, opts) }); n != 0 {
-		t.Errorf("InferMany allocates %.1f/op, want 0", n)
+	if n := testing.AllocsPerRun(20, loop); n != 0 {
+		t.Errorf("batch loop allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -243,28 +224,4 @@ func BenchmarkInfer(b *testing.B) {
 			m.InferOne(in, cfg, InferOpts{Scratch: sc})
 		}
 	})
-}
-
-// BenchmarkInferBatchScratch is BenchmarkInferBatch with a reused
-// scratch — the serving layer's steady state.
-func BenchmarkInferBatchScratch(b *testing.B) {
-	loadFixture(b)
-	m := fixture.model()
-	for _, size := range []int{1, 8, 32} {
-		inputs := make([][]float64, size)
-		for i := range inputs {
-			inputs[i] = fixture.x.Data[i*256 : (i+1)*256]
-		}
-		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
-			sc := NewInferScratch(m)
-			opts := InferOpts{Scratch: sc}
-			m.InferMany(inputs, RunConfig{EarlyFire: true}, opts)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.InferMany(inputs, RunConfig{EarlyFire: true}, opts)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/sample")
-		})
-	}
 }

@@ -237,9 +237,8 @@ func (r *Result) PredAt(step int) int {
 }
 
 // inferClockedBody runs the clocked pipeline on a prepared scratch
-// without rewinding its arenas, so multi-sample drivers (and the quant
-// engine's headroom fallback) can run several samples against one
-// scratch with every Result staying valid.
+// without rewinding its arenas, so the quant engine's headroom fallback
+// can run it on the scratch InferOne already prepared.
 func (m *Model) inferClockedBody(sc *InferScratch, input []float64, cfg RunConfig) Result {
 	return m.inferFloat(sc, input, cfg, false)
 }

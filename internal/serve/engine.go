@@ -1,13 +1,14 @@
 // Package serve is the inference serving layer: a stdlib-only HTTP
 // server that queues single-sample requests and runs them on a T2FSNN
 // core.Model — TTFSEngine, EventEngine and QuantEngine, one
-// implementation over core.InferOne/InferMany per engine kind — or on
-// any coding.Scheme (SchemeEngine). Scheduling is
-// work-conserving: an idle worker takes the first queued request at
-// once, together with whatever else is already queued (up to MaxBatch),
-// so batches form only under load and a lone request never waits for
-// company. Batching buys no per-sample amortization; an engine on a
-// multi-worker core.Pool spreads each batch's samples across cores.
+// implementation over core.InferOne per engine kind — or on any
+// coding.Scheme (SchemeEngine). Scheduling is work-conserving: an idle
+// worker takes the first queued request at once, together with whatever
+// else is already queued (up to MaxBatch), so batches form only under
+// load and a lone request never waits for company. Batching buys no
+// per-sample amortization: every engine runs a batch as a per-sample
+// loop, and one on a multi-worker core.Pool spreads the samples across
+// cores with Pool.Each.
 //
 // The scheduler guarantees the served predictions are bit-identical to
 // direct core.Evaluate over the same samples (pinned by the golden test
@@ -123,32 +124,27 @@ type ChunkReporter interface {
 }
 
 // TTFSEngine serves a T2FSNN core.Model on the clocked engine through
-// core.InferMany: each batch is a per-sample loop, spread one sample per
-// core when Pool has several workers. For one-shot traffic it is
-// batch-only (no SingleEngine); stream frames, which arrive one at a
-// time, run single-sample on a pooled scratch.
+// core.InferOne: each batch is a per-sample loop, spread one sample per
+// chunk across Pool's workers when it has several. For one-shot traffic
+// it is batch-only (no SingleEngine); stream frames, which arrive one at
+// a time, run single-sample on a pooled scratch.
 type TTFSEngine struct {
 	Model *core.Model
 	Run   core.RunConfig
 	// Faults optionally injects deterministic per-sample faults keyed by
 	// the request's sample index.
 	Faults *fault.Injector
-	// Pool shards each batch's samples across its workers
-	// (core.InferOpts.Pool), one scratch arena per pool worker; nil (or a
-	// single-worker pool) runs the batch on the calling goroutine. Give
-	// each engine its own pool.
+	// Pool spreads each multi-sample batch across its workers with
+	// Pool.Each, on one engine-owned scratch arena per worker; nil (or a
+	// single-worker pool) runs the batch on the calling goroutine. Engines
+	// may share a pool: its parallel calls are serialized.
 	Pool *core.Pool
 
-	// poolMu serializes parallel batches so result extraction (which
-	// reads pool-owned memory) finishes before the next call overwrites
-	// it — the coordination core.Pool requires of concurrent
-	// InferMany callers.
-	poolMu  sync.Mutex
-	scratch sync.Pool
+	scratch scratchSet[*core.InferScratch]
 }
 
 func (e *TTFSEngine) impl() modelEngine {
-	return modelEngine{e.Model, e.Run, e.Faults, &e.scratch, core.EngineClocked}
+	return modelEngine{e.Model, e.Run, e.Faults, e.Pool, &e.scratch, core.EngineClocked}
 }
 
 // InLen implements Engine.
@@ -162,12 +158,7 @@ func (e *TTFSEngine) EngineDesc() string { return "clocked" }
 
 // InferBatch implements Engine.
 func (e *TTFSEngine) InferBatch(inputs [][]float64, samples []int) []Prediction {
-	if e.Pool.Workers() > 1 {
-		e.poolMu.Lock()
-		defer e.poolMu.Unlock()
-		return e.impl().inferBatch(inputs, samples, e.Pool)
-	}
-	return e.impl().inferBatch(inputs, samples, nil)
+	return e.impl().inferBatch(inputs, samples)
 }
 
 // ParallelChunks implements ChunkReporter (0 without a pool).
@@ -188,7 +179,7 @@ func (e *TTFSEngine) InferFrame(input []float64, sample int, timeline bool) Fram
 type EventEngine modelFields
 
 func (e *EventEngine) impl() modelEngine {
-	return modelEngine{e.Model, e.Run, e.Faults, &e.scratch, core.EngineEvent}
+	return modelEngine{e.Model, e.Run, e.Faults, nil, &e.scratch, core.EngineEvent}
 }
 
 // InLen implements Engine.
@@ -202,7 +193,7 @@ func (e *EventEngine) EngineDesc() string { return "event" }
 
 // InferBatch implements Engine.
 func (e *EventEngine) InferBatch(inputs [][]float64, samples []int) []Prediction {
-	return e.impl().inferBatch(inputs, samples, nil)
+	return e.impl().inferBatch(inputs, samples)
 }
 
 // InferOne implements SingleEngine.
@@ -225,7 +216,7 @@ func (e *EventEngine) InferFrame(input []float64, sample int, timeline bool) Fra
 type QuantEngine modelFields
 
 func (e *QuantEngine) impl() modelEngine {
-	return modelEngine{e.Model, e.Run, e.Faults, &e.scratch, core.EngineQuant}
+	return modelEngine{e.Model, e.Run, e.Faults, nil, &e.scratch, core.EngineQuant}
 }
 
 // InLen implements Engine.
@@ -239,7 +230,7 @@ func (e *QuantEngine) EngineDesc() string { return "quant" }
 
 // InferBatch implements Engine.
 func (e *QuantEngine) InferBatch(inputs [][]float64, samples []int) []Prediction {
-	return e.impl().inferBatch(inputs, samples, nil)
+	return e.impl().inferBatch(inputs, samples)
 }
 
 // InferOne implements SingleEngine.
@@ -261,49 +252,41 @@ type modelFields struct {
 	// the request's sample index.
 	Faults *fault.Injector
 
-	scratch sync.Pool
+	scratch scratchSet[*core.InferScratch]
 }
 
 // modelEngine is the serving implementation behind TTFSEngine,
-// EventEngine and QuantEngine: one model on one engine kind. Every call
-// checks a scratch arena out of the engine's pool for its whole
-// duration (so the engines are safe for concurrent use and the steady
-// state allocates only the returned copies), derives per-sample fault
-// streams from the request's sample index (negative = none), and copies
-// results out of the arena before returning it.
+// EventEngine and QuantEngine: one model on one engine kind. Every
+// sample runs core.InferOne on a scratch arena the engine owns for the
+// call (so the engines are safe for concurrent use and the steady state
+// allocates only the returned copies), with its fault stream derived
+// from the request's sample index (negative = none), and its result is
+// copied out before the scratch is reused.
 type modelEngine struct {
 	model   *core.Model
 	run     core.RunConfig
 	faults  *fault.Injector
-	scratch *sync.Pool
+	pool    *core.Pool
+	scratch *scratchSet[*core.InferScratch]
 	kind    core.EngineKind
 }
 
-func (e modelEngine) checkout() *core.InferScratch {
-	if sc, ok := e.scratch.Get().(*core.InferScratch); ok {
-		return sc
+func (e modelEngine) newScratch() *core.InferScratch { return core.NewInferScratch(e.model) }
+
+// config returns the run configuration of one sample.
+func (e modelEngine) config(sample int) core.RunConfig {
+	cfg := e.run
+	if e.faults != nil && sample >= 0 {
+		cfg.Faults = e.faults.Sample(sample)
 	}
-	return core.NewInferScratch(e.model)
+	return cfg
 }
 
-// inferBatch runs the batch on a pool when one is given (the caller
-// serializes pool calls), else sample-by-sample on one pooled scratch.
-func (e modelEngine) inferBatch(inputs [][]float64, samples []int, pool *core.Pool) []Prediction {
-	opts := core.InferOpts{Pool: pool, Engine: e.kind}
-	if e.faults != nil {
-		opts.Faults = make([]*fault.Stream, len(inputs))
-		for i, idx := range samples {
-			if idx >= 0 {
-				opts.Faults[i] = e.faults.Sample(idx)
-			}
-		}
-	}
-	if pool != nil {
-		return predictions(e.model.InferMany(inputs, e.run, opts))
-	}
-	opts.Scratch = e.checkout()
-	preds := predictions(e.model.InferMany(inputs, e.run, opts))
-	e.scratch.Put(opts.Scratch)
+func (e modelEngine) inferBatch(inputs [][]float64, samples []int) []Prediction {
+	preds := make([]Prediction, len(inputs))
+	e.scratch.eachSample(e.pool, len(inputs), e.newScratch, func(i int, sc *core.InferScratch) {
+		preds[i] = prediction(e.model.InferOne(inputs[i], e.config(samples[i]), core.InferOpts{Scratch: sc, Engine: e.kind}))
+	})
 	return preds
 }
 
@@ -312,17 +295,73 @@ func (e modelEngine) inferFrame(input []float64, sample int, timeline bool) Fram
 	return inferOne(e, input, sample, frameResult)
 }
 
-// inferOne runs one sample on a pooled scratch and returns copyOut's
-// copy of the result, taken before the scratch goes back to the pool.
+// inferOne runs one sample on a spare scratch and returns copyOut's
+// copy of the result, taken before the scratch goes back to the set.
 func inferOne[T any](e modelEngine, input []float64, sample int, copyOut func(core.Result) T) T {
-	sc := e.checkout()
-	cfg := e.run
-	if e.faults != nil && sample >= 0 {
-		cfg.Faults = e.faults.Sample(sample)
-	}
-	out := copyOut(e.model.InferOne(input, cfg, core.InferOpts{Scratch: sc, Engine: e.kind}))
-	e.scratch.Put(sc)
+	sc := e.scratch.get(e.newScratch)
+	out := copyOut(e.model.InferOne(input, e.config(sample), core.InferOpts{Scratch: sc, Engine: e.kind}))
+	e.scratch.put(sc)
 	return out
+}
+
+// scratchSet holds one engine's scratch arenas: one per pool worker
+// index for pooled batches, all allocated on the first pooled call, and
+// a sync.Pool of spares for sequential batches, single samples and
+// stream frames.
+type scratchSet[S any] struct {
+	mu      sync.Mutex // guards the workers table
+	workers []S
+	spare   sync.Pool
+}
+
+// get checks a spare out, building one with newS when none is pooled.
+func (s *scratchSet[S]) get(newS func() S) S {
+	if sc, ok := s.spare.Get().(S); ok {
+		return sc
+	}
+	return newS()
+}
+
+func (s *scratchSet[S]) put(sc S) { s.spare.Put(sc) }
+
+// eachSample runs run(i, sc) for every sample i of an n-sample batch on
+// a scratch no other goroutine touches meanwhile; run copies its result
+// out before returning. With a multi-worker pool and more than one
+// sample, the samples are claimed one per chunk across the pool's
+// workers (sample costs vary, so stealing at the finest grain balances
+// best), each on its worker's scratch — Pool.Each makes a worker index
+// exclusive in exactly that case. Otherwise they run in order on the
+// calling goroutine, on one spare.
+func (s *scratchSet[S]) eachSample(pool *core.Pool, n int, newS func() S, run func(i int, sc S)) {
+	w := pool.Workers()
+	if w <= 1 || n <= 1 {
+		sc := s.get(newS)
+		for i := 0; i < n; i++ {
+			run(i, sc)
+		}
+		s.put(sc)
+		return
+	}
+	s.mu.Lock()
+	workers := s.workers
+	s.mu.Unlock()
+	if len(workers) < w {
+		// Built outside the lock. Two racing first calls each build a
+		// table; the pool runs their Each calls one at a time, so no
+		// table is shared while in use.
+		workers = make([]S, w)
+		for i := range workers {
+			workers[i] = newS()
+		}
+		s.mu.Lock()
+		s.workers = workers
+		s.mu.Unlock()
+	}
+	pool.Each(n, 1, func(lo, hi, worker int) {
+		for i := lo; i < hi; i++ {
+			run(i, workers[worker])
+		}
+	})
 }
 
 func classes(m *core.Model) int { return m.Net.Stages[len(m.Net.Stages)-1].OutLen }
@@ -337,14 +376,6 @@ func prediction(r core.Result) Prediction {
 		EarlyExit:   r.EarlyExit,
 		EventsSaved: r.EventsSaved,
 	}
-}
-
-func predictions(rs []core.Result) []Prediction {
-	preds := make([]Prediction, len(rs))
-	for i, r := range rs {
-		preds[i] = prediction(r)
-	}
-	return preds
 }
 
 func frameResult(r core.Result) FrameResult {
@@ -364,18 +395,12 @@ type SchemeEngine struct {
 	// Steps is the simulation horizon passed to every Run.
 	Steps  int
 	Faults *fault.Injector
-	// Pool fans the batch's samples across pool workers, one
-	// coding.Scratch per worker; nil runs them on the calling goroutine.
-	// Give each engine its own pool.
+	// Pool spreads each multi-sample batch across its workers with
+	// Pool.Each, on one engine-owned coding.Scratch per worker; nil runs
+	// the batch on the calling goroutine. Engines may share a pool.
 	Pool *core.Pool
 
-	// mu guards the lazy per-pool-worker scratch table.
-	mu        sync.Mutex
-	scratches []*coding.Scratch
-
-	// scratch pools per-caller simulation buffers for sequential batches
-	// and stream frames.
-	scratch sync.Pool
+	scratch scratchSet[*coding.Scratch]
 }
 
 // InLen implements Engine.
@@ -389,53 +414,21 @@ func (e *SchemeEngine) Classes() int {
 // EngineDesc implements EngineDescriber.
 func (e *SchemeEngine) EngineDesc() string { return e.Scheme.Name() }
 
+// runOpts returns one sample's scheme options on sc.
+func (e *SchemeEngine) runOpts(sample int, sc *coding.Scratch) coding.RunOpts {
+	opts := coding.RunOpts{Steps: e.Steps, Scratch: sc}
+	if e.Faults != nil && sample >= 0 {
+		opts.Faults = e.Faults.Sample(sample)
+	}
+	return opts
+}
+
 // InferBatch implements Engine.
 func (e *SchemeEngine) InferBatch(inputs [][]float64, samples []int) []Prediction {
 	preds := make([]Prediction, len(inputs))
-	runOne := func(i int, sc *coding.Scratch) {
-		opts := coding.RunOpts{Steps: e.Steps, Scratch: sc}
-		if e.Faults != nil && samples[i] >= 0 {
-			opts.Faults = e.Faults.Sample(samples[i])
-		}
-		r := e.Scheme.Run(e.Net, inputs[i], opts)
-		preds[i] = Prediction{
-			Pred:        r.Pred,
-			Latency:     r.Steps,
-			TotalSpikes: r.TotalSpikes,
-			// copied: r.Potentials aliases the pooled scratch
-			Potentials: append([]float64(nil), r.Potentials...),
-		}
-	}
-	if w := e.Pool.Workers(); w > 1 && len(inputs) > 1 {
-		e.mu.Lock()
-		if e.scratches == nil {
-			e.scratches = make([]*coding.Scratch, w)
-		}
-		e.mu.Unlock()
-		// Per-sample chunks: scheme runs dominate, so stealing at the
-		// finest grain balances best. Scratch access is safe: the pool
-		// serializes calls and hands worker index w to one goroutine at a
-		// time, and preds extraction happens inside fn.
-		e.Pool.Each(len(inputs), 1, func(lo, hi, worker int) {
-			sc := e.scratches[worker]
-			if sc == nil {
-				sc = coding.NewScratch()
-				e.scratches[worker] = sc
-			}
-			for i := lo; i < hi; i++ {
-				runOne(i, sc)
-			}
-		})
-		return preds
-	}
-	sc, _ := e.scratch.Get().(*coding.Scratch)
-	if sc == nil {
-		sc = coding.NewScratch()
-	}
-	for i := range inputs {
-		runOne(i, sc)
-	}
-	e.scratch.Put(sc)
+	e.scratch.eachSample(e.Pool, len(inputs), coding.NewScratch, func(i int, sc *coding.Scratch) {
+		preds[i] = schemePrediction(e.Scheme.Run(e.Net, inputs[i], e.runOpts(samples[i], sc)))
+	})
 	return preds
 }
 
@@ -446,28 +439,28 @@ func (e *SchemeEngine) ParallelChunks() uint64 { return e.Pool.Chunks() }
 // per-stage counting (schemes always report SpikesPerStage) and the
 // timeline collected on request.
 func (e *SchemeEngine) InferFrame(input []float64, sample int, timeline bool) FrameResult {
-	sc, _ := e.scratch.Get().(*coding.Scratch)
-	if sc == nil {
-		sc = coding.NewScratch()
-	}
-	opts := coding.RunOpts{Steps: e.Steps, Scratch: sc, CollectTimeline: timeline}
-	if e.Faults != nil && sample >= 0 {
-		opts.Faults = e.Faults.Sample(sample)
-	}
+	sc := e.scratch.get(coding.NewScratch)
+	opts := e.runOpts(sample, sc)
+	opts.CollectTimeline = timeline
 	r := e.Scheme.Run(e.Net, input, opts)
 	fr := FrameResult{
-		Prediction: Prediction{
-			Pred:        r.Pred,
-			Latency:     r.Steps,
-			TotalSpikes: r.TotalSpikes,
-			// copied: r.Potentials aliases the pooled scratch
-			Potentials: append([]float64(nil), r.Potentials...),
-		},
+		Prediction:  schemePrediction(r),
 		StageSpikes: append([]int(nil), r.SpikesPerStage...),
 	}
 	for _, tp := range r.Timeline {
 		fr.Timeline = append(fr.Timeline, core.TimedPred{Step: tp.Step, Pred: tp.Pred})
 	}
-	e.scratch.Put(sc)
+	e.scratch.put(sc)
 	return fr
+}
+
+// schemePrediction copies one scheme result out of the scratch it
+// aliases.
+func schemePrediction(r snn.SimResult) Prediction {
+	return Prediction{
+		Pred:        r.Pred,
+		Latency:     r.Steps,
+		TotalSpikes: r.TotalSpikes,
+		Potentials:  append([]float64(nil), r.Potentials...),
+	}
 }

@@ -31,7 +31,7 @@ GMP="${GOMAXPROCS:-$(nproc)}"
 # BenchmarkServeE2E (internal/serve) covers the HTTP request path:
 # mux + negotiation + decode + direct inference + encode, JSON vs
 # binary wire formats.
-PATTERN='BenchmarkInfer$|BenchmarkInferBatch$|BenchmarkInferBatchScratch$|BenchmarkInferBatchParallel$|BenchmarkInferEventEarlyExit$|BenchmarkInferQuant$|BenchmarkServeE2E$'
+PATTERN='BenchmarkInfer$|BenchmarkInferBatch$|BenchmarkInferBatchParallel$|BenchmarkInferEventEarlyExit$|BenchmarkInferQuant$|BenchmarkServeE2E$'
 PKG="./internal/core/ ./internal/serve/"
 
 if [[ $SMOKE -eq 1 ]]; then
