@@ -4,7 +4,8 @@
 // (Park, DAC 2019). All three run the same converted network
 // (internal/convert) under a clock-driven integrate-and-fire simulation
 // and report spikes, decision timelines and accuracy-versus-time curves
-// for Fig. 6 and Tables II–III.
+// for Fig. 6 and Tables II–III. T2FSNN itself is not a Scheme: it runs
+// on internal/core (core.Model.InferOne, core.Evaluate).
 package coding
 
 import (
@@ -22,9 +23,7 @@ import (
 // shape. The zero value (plus a Steps horizon) is the plain fault-free
 // run.
 type RunOpts struct {
-	// Steps is the simulation horizon in global time steps. Schemes
-	// with an intrinsic latency (TTFS) treat it as a timeline cap; 0
-	// means "the scheme's own latency".
+	// Steps is the simulation horizon in global time steps.
 	Steps int
 	// CollectTimeline retains the output-potential argmax trajectory
 	// for inference curves (costs memory; off by default).
@@ -37,13 +36,6 @@ type RunOpts struct {
 	// sustained caller allocates nothing per Run; nil falls back to a
 	// fresh single-use scratch. See Scratch for the aliasing contract.
 	Scratch *Scratch
-	// EarlyExit lets the scheme stop integrating its output window once
-	// the predicted class is provably settled (core's undominated-winner
-	// rule). Only the TTFS adapter's event engine implements it; the
-	// rate/phase/burst baselines integrate their full horizon by
-	// construction and ignore the flag, as does any run that collects a
-	// timeline. The prediction is unchanged either way.
-	EarlyExit bool
 }
 
 // Scheme simulates one input (flattened [C,H,W], values in [0,1])

@@ -1,14 +1,12 @@
 package coding
 
 import (
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/snn"
 )
 
 // Scratch is the reusable working set of the clock-driven scheme
-// simulators (and, via CoreScratch, of the TTFS adapter): input
-// accumulators, per-stage membrane potentials, burst-state counters, and
+// simulators: input accumulators, per-stage membrane potentials, burst-state counters, and
 // the per-boundary spike buffers. Pass one via RunOpts.Scratch to stop a
 // sustained caller (serving worker, evaluation sweep) from reallocating
 // the full working set on every Run.
@@ -21,8 +19,6 @@ import (
 // scratch_test.go): reused buffers are reset to exactly the state fresh
 // allocations start in.
 type Scratch struct {
-	core *core.InferScratch // lazily created for the TTFS adapter
-
 	maxStages int
 	acc       []float64   // input accumulators (rate/burst)
 	accBurst  []int       // input burst ladder (burst)
@@ -38,15 +34,6 @@ type Scratch struct {
 
 // NewScratch returns an empty scratch; buffers are sized on first use.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// CoreScratch returns the scratch's core.InferScratch, creating it on
-// first use — the TTFS adapter passes it to core.Model.InferOne.
-func (sc *Scratch) CoreScratch(m *core.Model) *core.InferScratch {
-	if sc.core == nil {
-		sc.core = core.NewInferScratch(m)
-	}
-	return sc.core
-}
 
 // scratchFor returns opts.Scratch or a fresh single-use scratch, so the
 // simulators run one allocation discipline regardless of the caller.

@@ -48,14 +48,11 @@ func sameSimResult(t *testing.T, tag string, got, want snn.SimResult) {
 }
 
 // TestSchemesWithScratchMatchFresh pins the RunOpts.Scratch contract for
-// all four coding schemes: one scratch reused across samples, schemes,
-// and fault streams produces results bit-identical to scratch-free runs.
+// the three baseline coding schemes: one scratch reused across samples,
+// schemes, and fault streams produces results bit-identical to
+// scratch-free runs.
 func TestSchemesWithScratchMatchFresh(t *testing.T) {
 	fx := testutil.TrainedLeNet16()
-	m, err := core.NewModel(fx.Conv.Net, 40, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inj, err := fault.New(fault.Config{Seed: 17, Drop: 0.1, Jitter: 1, StuckSilent: 0.02, ThresholdNoise: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +62,6 @@ func TestSchemesWithScratchMatchFresh(t *testing.T) {
 		Rate{Poisson: true, Seed: 5},
 		Phase{},
 		Burst{},
-		TTFS{Model: m},
 	}
 	sc := NewScratch() // shared across every scheme: resets must be exact
 	for _, s := range schemes {
@@ -103,15 +99,11 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEvaluateSweepPoolMatchesSequential pins the pool-parallel sweep
-// against the sequential one for all four coding schemes under fault
-// injection: per-worker scratches and chunked work stealing must not
-// change a single aggregate.
+// against the sequential one for the three baseline coding schemes
+// under fault injection: per-worker scratches and chunked work stealing
+// must not change a single aggregate.
 func TestEvaluateSweepPoolMatchesSequential(t *testing.T) {
 	fx := testutil.TrainedLeNet16()
-	m, err := core.NewModel(fx.Conv.Net, 40, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inj, err := fault.New(fault.Config{Seed: 23, Drop: 0.1, Jitter: 1, ThresholdNoise: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +112,7 @@ func TestEvaluateSweepPoolMatchesSequential(t *testing.T) {
 	defer pool.Close()
 	x := tensor.FromSlice(fx.X.Data[:24*256], 24, 256)
 	labels := fx.Labels[:24]
-	for _, s := range []Scheme{Rate{}, Rate{Poisson: true, Seed: 5}, Phase{}, Burst{}, TTFS{Model: m}} {
+	for _, s := range []Scheme{Rate{}, Rate{Poisson: true, Seed: 5}, Phase{}, Burst{}} {
 		want, err := EvaluateSweep(s, fx.Conv.Net, x, labels, SweepOpts{Steps: 50, Stride: 10, Faults: inj})
 		if err != nil {
 			t.Fatal(err)

@@ -254,10 +254,7 @@ func TestGatewayStreamConnectFailRetryEvent(t *testing.T) {
 // as a clean session end — no retry event inviting the client to
 // resend the frame, and no failure counted against a healthy backend.
 func TestGatewayStreamMalformedFrameHeldBody(t *testing.T) {
-	srv := serve.New(abuseEngine{}, serve.Options{MaxBatch: 2})
-	t.Cleanup(srv.Close)
-	backend := httptest.NewServer(srv.Handler())
-	t.Cleanup(backend.Close)
+	_, backend := newServeBackend(t, abuseEngine{}, serve.Options{MaxBatch: 2})
 	g, err := New(Options{Backends: []string{backend.URL}, ProbeInterval: 20 * time.Millisecond, ProbeTimeout: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

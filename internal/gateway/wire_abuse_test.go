@@ -13,7 +13,7 @@ import (
 )
 
 // abuseEngine is a minimal serve.Engine for the wire abuse tests: the
-// backend must be a real serve.Server (not a stub mux) so the test
+// backend must be a real serve Registry (not a stub mux) so the test
 // covers the gateway's buffer-and-replay proxying composed with the
 // serve layer's frame validation and admission ledger.
 type abuseEngine struct{}
@@ -28,6 +28,24 @@ func (abuseEngine) InferBatch(inputs [][]float64, samples []int) []serve.Predict
 	return preds
 }
 
+// newServeBackend hosts eng as the default model of a ready serve
+// Registry behind a test server, as snnserve deploys it, and returns
+// the model's Server (for its ledger) and the test server. Both close
+// at cleanup.
+func newServeBackend(t *testing.T, eng serve.Engine, opt serve.Options) (*serve.Server, *httptest.Server) {
+	t.Helper()
+	reg := serve.NewRegistry(serve.RegistryOptions{})
+	t.Cleanup(reg.Close)
+	srv, err := reg.Add("m", eng, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.SetReady(true)
+	backend := httptest.NewServer(reg.Handler())
+	t.Cleanup(backend.Close)
+	return srv, backend
+}
+
 // TestWireAbuseViaGateway sends malformed binary frames through the
 // gateway to a real serve backend and pins the composed behavior:
 // oversized bodies die at the gateway with 413 before touching any
@@ -36,10 +54,7 @@ func (abuseEngine) InferBatch(inputs [][]float64, samples []int) []serve.Predict
 // good frames return a valid binary response — and both the gateway's
 // and the backend's accounting stay exact throughout.
 func TestWireAbuseViaGateway(t *testing.T) {
-	srv := serve.New(abuseEngine{}, serve.Options{MaxBatch: 2})
-	defer srv.Close()
-	backend := httptest.NewServer(srv.Handler())
-	defer backend.Close()
+	srv, backend := newServeBackend(t, abuseEngine{}, serve.Options{MaxBatch: 2})
 
 	g, err := New(Options{
 		Backends:      []string{backend.URL},

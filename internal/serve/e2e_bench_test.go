@@ -62,17 +62,22 @@ func (w *benchResponseWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// BenchmarkServeE2E drives the full HTTP handler in-process (mux
-// routing, content negotiation, body decode, direct inference, response
-// encode) without real sockets, comparing the JSON and binary wire
-// formats. The request/response plumbing is reused across iterations so
-// allocs/op isolates the per-request cost of the handler itself.
+// BenchmarkServeE2E drives the registry's HTTP handler in-process at
+// the default model's /v1/infer route (mux routing, admission, content
+// negotiation, body decode, direct inference, response encode) without
+// real sockets, comparing the JSON and binary wire formats. The
+// request/response plumbing is reused across iterations so allocs/op
+// isolates the per-request cost of the handler itself.
 func BenchmarkServeE2E(b *testing.B) {
 	const inLen = 256
 	eng := &benchEngine{inLen: inLen, classes: 10}
-	srv := New(eng, Options{MaxBatch: 1}) // batching off: requests route direct
-	defer srv.Close()
-	h := srv.Handler()
+	reg := NewRegistry(RegistryOptions{})
+	defer reg.Close()
+	// Batching off: requests route direct.
+	if _, err := reg.Add("m", eng, Options{MaxBatch: 1}); err != nil {
+		b.Fatal(err)
+	}
+	h := reg.Handler()
 
 	input := make([]float64, inLen)
 	for i := range input {

@@ -1,8 +1,13 @@
 // Package serve is the inference serving layer: a stdlib-only HTTP
-// server that queues single-sample requests and runs them on a T2FSNN
-// core.Model — TTFSEngine, EventEngine and QuantEngine, one
-// implementation over core.InferOne per engine kind — or on any
-// coding.Scheme (SchemeEngine). Scheduling is work-conserving: an idle
+// server that runs single-sample requests on a T2FSNN core.Model —
+// TTFSEngine, EventEngine and QuantEngine, one implementation over
+// core.InferOne per engine kind — or on a baseline coding.Scheme
+// (SchemeEngine). Registry.Handler is the one HTTP API: it hosts named
+// models, each on its own Server, behind a shared admission layer.
+// A request reaches its Server's engine one of three ways — the
+// batching queue (Infer), the direct single-sample path (InferDirect)
+// or a stream frame (InferFrame); the last two share one synchronous
+// admission and accounting body. Scheduling is work-conserving: an idle
 // worker takes the first queued request at once, together with whatever
 // else is already queued (up to MaxBatch), so batches form only under
 // load and a lone request never waits for company. Batching buys no
@@ -386,9 +391,10 @@ func frameResult(r core.Result) FrameResult {
 	}
 }
 
-// SchemeEngine serves any coding.Scheme (rate, phase, burst, or the
-// TTFS adapter) over a converted network. Batches run sample-by-sample,
-// spread across Pool's workers when it has several.
+// SchemeEngine serves a baseline coding.Scheme (rate, phase or burst)
+// over a converted network; T2FSNN itself serves through TTFSEngine,
+// EventEngine or QuantEngine. Batches run sample-by-sample, spread
+// across Pool's workers when it has several.
 type SchemeEngine struct {
 	Net    *snn.Net
 	Scheme coding.Scheme

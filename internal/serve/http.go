@@ -106,36 +106,6 @@ func putInput(in []float64) {
 	inputPool.Put(&in)
 }
 
-// Handler returns the single-model HTTP API (Registry.Handler is the
-// multi-model superset):
-//
-//	POST /v1/infer  — one sample in, one prediction out (JSON, or the
-//	                  binary frame format when the request carries
-//	                  Content-Type application/x-t2f)
-//	GET  /healthz   — 200 while serving, 503 once Close started
-//	GET  /metrics   — JSON metrics snapshot
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/infer", s.handleInfer)
-	mux.HandleFunc("/v1/stream", s.handleStream)
-	mux.HandleFunc("/healthz", s.handleHealth)
-	// A bare Server is ready as soon as it exists (warmup is the
-	// owner's synchronous call); the route exists so probes written
-	// against the Registry contract work here too.
-	mux.HandleFunc("/readyz", s.handleHealth)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	return mux
-}
-
-func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	ir, ok := decodeInferRequest(w, r, s)
-	if !ok {
-		return
-	}
-	serveInfer(w, r, s, ir)
-	putInferReq(ir)
-}
-
 // readBody drains one request body into buf (grown only when capacity
 // is short), bounded by maxBodyBytes.
 func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
@@ -167,10 +137,6 @@ func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error
 // request is pooled — the caller must hand it back with putInferReq
 // once the response is written.
 func decodeInferRequest(w http.ResponseWriter, r *http.Request, srv *Server) (*inferReq, bool) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return nil, false
-	}
 	ir := inferReqPool.Get().(*inferReq)
 	body, err := readBody(w, r, ir.body)
 	ir.body = body // keep the grown buffer even when the read failed
@@ -302,19 +268,11 @@ func (s *Server) inferTimeout(timeoutMs int) time.Duration {
 }
 
 // serveInfer runs one decoded request through srv and writes the
-// response. Admission (rate limiting, deadline shedding) is the
-// caller's job — the Registry does it before calling in.
-func serveInfer(w http.ResponseWriter, r *http.Request, srv *Server, ir *inferReq) {
-	if err := serveInferSwappable(w, r, srv, ir); err != nil {
-		writeInferError(w, err)
-	}
-}
-
-// serveInferSwappable runs one decoded request through srv and writes
-// the response — except for ErrClosed, which is returned unwritten so
-// the registry's model path can chase a hot-swap cutover onto the
-// replacement server instead of failing the client.
-func serveInferSwappable(w http.ResponseWriter, r *http.Request, srv *Server, ir *inferReq) error {
+// response — except for ErrClosed, which is returned unwritten so the
+// registry's model path can chase a hot-swap cutover onto the
+// replacement server instead of failing the client. Admission (rate
+// limiting, deadline shedding) is the caller's job.
+func serveInfer(w http.ResponseWriter, r *http.Request, srv *Server, ir *inferReq) error {
 	ctx := r.Context()
 	if timeout := srv.inferTimeout(ir.timeoutMs); timeout > 0 {
 		var cancel context.CancelFunc
@@ -432,18 +390,6 @@ func writeRetryAfter(w http.ResponseWriter, d time.Duration) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	if s.Closed() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "closing"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.met.Snapshot())
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

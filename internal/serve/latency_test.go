@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -161,46 +160,78 @@ func TestInferDirectFallsBackToQueue(t *testing.T) {
 	}
 }
 
-// A panicking single-sample engine must fail only that request.
+// syncStubEngine adds the FrameEngine capability to singleStubEngine,
+// sharing its panicOnce switch, so one engine drives both synchronous
+// paths.
+type syncStubEngine struct{ *singleStubEngine }
+
+func (e syncStubEngine) InferFrame(input []float64, sample int, timeline bool) FrameResult {
+	return FrameResult{Prediction: e.InferOne(input, sample)}
+}
+
+// syncPaths are the two synchronous entry points that share one
+// admission and settle body.
+var syncPaths = []struct {
+	name string
+	call func(s *Server, ctx context.Context, in []float64) (Prediction, error)
+}{
+	{"InferDirect", func(s *Server, ctx context.Context, in []float64) (Prediction, error) {
+		return s.InferDirect(ctx, in, -1, -1)
+	}},
+	{"InferFrame", func(s *Server, ctx context.Context, in []float64) (Prediction, error) {
+		fr, err := s.InferFrame(ctx, in, -1, -1, false)
+		return fr.Prediction, err
+	}},
+}
+
+// A panicking engine must fail only that request, on either
+// synchronous path.
 func TestInferDirectPanicContained(t *testing.T) {
-	eng := newSingleStubEngine()
-	eng.panicOnce = true
-	s := New(eng, Options{MaxBatch: 1})
-	defer s.Close()
-	if _, err := s.InferDirect(context.Background(), input(1), -1, -1); err == nil || !strings.Contains(err.Error(), "engine panic") {
-		t.Fatalf("err = %v, want engine panic", err)
-	}
-	pred, err := s.InferDirect(context.Background(), input(4), -1, -1)
-	if err != nil || pred.Pred != 4%3 {
-		t.Fatalf("request after panic: %+v, %v", pred, err)
-	}
-	snap := s.Metrics().Snapshot()
-	if snap.Accepted != snap.Completed+snap.Expired+snap.Failed {
-		t.Fatalf("accounting identity broken: %+v", snap)
-	}
-	if snap.Failed != 1 {
-		t.Fatalf("failed %d, want 1", snap.Failed)
+	for _, p := range syncPaths {
+		t.Run(p.name, func(t *testing.T) {
+			eng := newSingleStubEngine()
+			eng.panicOnce = true
+			s := New(syncStubEngine{eng}, Options{MaxBatch: 1})
+			defer s.Close()
+			if _, err := p.call(s, context.Background(), input(1)); err == nil || !strings.Contains(err.Error(), "engine panic") {
+				t.Fatalf("err = %v, want engine panic", err)
+			}
+			pred, err := p.call(s, context.Background(), input(4))
+			if err != nil || pred.Pred != 4%3 {
+				t.Fatalf("request after panic: %+v, %v", pred, err)
+			}
+			snap := s.Metrics().Snapshot()
+			if snap.Accepted != snap.Completed+snap.Expired+snap.Failed {
+				t.Fatalf("accounting identity broken: %+v", snap)
+			}
+			if snap.Failed != 1 {
+				t.Fatalf("failed %d, want 1", snap.Failed)
+			}
+		})
 	}
 }
 
-// InferDirect must reject with ErrClosed once Close has started, and an
-// already-expired context must be counted accepted+expired, exactly
-// like the queued path.
+// Both synchronous paths must reject with ErrClosed once Close has
+// started, and an already-expired context must be counted
+// accepted+expired, exactly like the queued path.
 func TestInferDirectClosedAndExpired(t *testing.T) {
-	eng := newSingleStubEngine()
-	s := New(eng, Options{MaxBatch: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.InferDirect(ctx, input(1), -1, -1); err != context.Canceled {
-		t.Fatalf("dead context: err = %v, want context.Canceled", err)
-	}
-	s.Close()
-	if _, err := s.InferDirect(context.Background(), input(1), -1, -1); err != ErrClosed {
-		t.Fatalf("after close: err = %v, want ErrClosed", err)
-	}
-	snap := s.Metrics().Snapshot()
-	if snap.Accepted != 1 || snap.Expired != 1 {
-		t.Fatalf("accepted %d expired %d, want 1/1", snap.Accepted, snap.Expired)
+	for _, p := range syncPaths {
+		t.Run(p.name, func(t *testing.T) {
+			s := New(syncStubEngine{newSingleStubEngine()}, Options{MaxBatch: 1})
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := p.call(s, ctx, input(1)); err != context.Canceled {
+				t.Fatalf("dead context: err = %v, want context.Canceled", err)
+			}
+			s.Close()
+			if _, err := p.call(s, context.Background(), input(1)); err != ErrClosed {
+				t.Fatalf("after close: err = %v, want ErrClosed", err)
+			}
+			snap := s.Metrics().Snapshot()
+			if snap.Accepted != 1 || snap.Expired != 1 {
+				t.Fatalf("accepted %d expired %d, want 1/1", snap.Accepted, snap.Expired)
+			}
+		})
 	}
 }
 
@@ -209,10 +240,7 @@ func TestInferDirectClosedAndExpired(t *testing.T) {
 // the response must surface the early-exit telemetry.
 func TestHTTPModeRouting(t *testing.T) {
 	eng := newSingleStubEngine()
-	s := New(eng, Options{MaxBatch: 8})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, _, ts := newTestRegistry(t, eng, Options{MaxBatch: 8})
 
 	post := func(body string) (*http.Response, InferResponse) {
 		t.Helper()
@@ -418,7 +446,7 @@ func TestServerEventEngineEndToEnd(t *testing.T) {
 	eng := &EventEngine{Model: m, Run: core.RunConfig{EarlyExit: true}}
 	s := New(eng, Options{MaxBatch: 1, DefaultMode: ModeLatency})
 	defer s.Close()
-	if s.Single() == nil {
+	if s.single == nil {
 		t.Fatal("EventEngine capability not discovered")
 	}
 	s.Warm()

@@ -330,6 +330,24 @@ type Snapshot struct {
 	LabeledTotal int     `json:"labeled_total"`
 }
 
+// addCounters adds o's cumulative counters into s — the ones a
+// registry model carries across hot-swaps. Gauges and window-based
+// statistics (latency percentiles, batch histogram) are left alone:
+// they describe the serving engine only.
+func (s *Snapshot) addCounters(o Snapshot) {
+	s.Accepted += o.Accepted
+	s.Rejected += o.Rejected
+	s.Expired += o.Expired
+	s.Failed += o.Failed
+	s.Completed += o.Completed
+	s.TotalSpikes += o.TotalSpikes
+	s.EarlyExitTotal += o.EarlyExitTotal
+	s.EventsSaved += o.EventsSaved
+	s.LatencyPathTotal += o.LatencyPathTotal
+	s.StreamSessions += o.StreamSessions
+	s.StreamFrames += o.StreamFrames
+}
+
 // Snapshot captures the current statistics. Percentiles are computed
 // over the sliding latency window (last 8192 completed requests).
 func (m *Metrics) Snapshot() Snapshot {

@@ -61,10 +61,10 @@ type Registry struct {
 	start   time.Time
 
 	rateLimited atomic.Uint64
-	// ready gates /readyz only: it flips true when warmup finishes
-	// (Warm, or SetReady for callers that warm by hand), so a routing
-	// tier never sends traffic to a cold process. Inference itself is
-	// not gated — a direct client may accept cold-start latency.
+	// ready gates /readyz only: the owner sets it (SetReady) once every
+	// model is warm, so a routing tier never sends traffic to a cold
+	// process. Inference itself is not gated — a direct client may
+	// accept cold-start latency.
 	ready atomic.Bool
 
 	mu          sync.RWMutex
@@ -95,27 +95,18 @@ type registryModel struct {
 	swapMu sync.Mutex
 	swaps  atomic.Uint64
 
-	// retired accumulates the final counters of servers drained by
-	// Swap, so per-model accounting (and its identity, accepted =
-	// completed + expired + failed) survives any number of cutovers.
-	// draining is the server a Swap has cut away but not yet drained:
-	// Snapshot keeps counting it until retire folds its final totals,
-	// so metrics never go backwards mid-drain. Both fields share
-	// retiredMu — a server is always visible as exactly one of live,
-	// draining, or retired, never zero or two.
+	// retired accumulates the final counters (Snapshot.addCounters) of
+	// servers drained by Swap, so per-model accounting (and its
+	// identity, accepted = completed + expired + failed) survives any
+	// number of cutovers; window-based statistics intentionally restart
+	// with the new engine. draining is the server a Swap has cut away
+	// but not yet drained: Snapshot keeps counting it until retire folds
+	// its final totals, so metrics never go backwards mid-drain. Both
+	// fields share retiredMu — a server is always visible as exactly one
+	// of live, draining, or retired, never zero or two.
 	retiredMu sync.Mutex
-	retired   retiredCounters
+	retired   Snapshot
 	draining  *Server
-}
-
-// retiredCounters are the scalar Snapshot counters that must survive a
-// hot-swap; window-based statistics (latency percentiles, batch
-// histogram) intentionally restart with the new engine.
-type retiredCounters struct {
-	accepted, rejected, expired, failed, completed uint64
-	totalSpikes                                    uint64
-	earlyExit, eventsSaved, latencyPath            uint64
-	streamSessions, streamFrames                   uint64
 }
 
 func (m *registryModel) server() *Server { return m.srv.Load() }
@@ -127,17 +118,7 @@ func (m *registryModel) server() *Server { return m.srv.Load() }
 // settled then, so the fold moves a self-consistent set.
 func (m *registryModel) retire(s Snapshot) {
 	m.retiredMu.Lock()
-	m.retired.accepted += s.Accepted
-	m.retired.rejected += s.Rejected
-	m.retired.expired += s.Expired
-	m.retired.failed += s.Failed
-	m.retired.completed += s.Completed
-	m.retired.totalSpikes += s.TotalSpikes
-	m.retired.earlyExit += s.EarlyExitTotal
-	m.retired.eventsSaved += s.EventsSaved
-	m.retired.latencyPath += s.LatencyPathTotal
-	m.retired.streamSessions += s.StreamSessions
-	m.retired.streamFrames += s.StreamFrames
+	m.retired.addCounters(s)
 	m.draining = nil
 	m.retiredMu.Unlock()
 }
@@ -218,22 +199,9 @@ func (g *Registry) Names() []string {
 	return append([]string(nil), g.order...)
 }
 
-// Warm runs one zero-sample batch through every model's engine, off
-// the books: scatter plans get built and scratch arenas sized before
-// the first user request pays for them. When every model is warm the
-// registry reports ready on /readyz.
-func (g *Registry) Warm() {
-	for _, name := range g.Names() {
-		if srv := g.Get(name); srv != nil {
-			srv.Warm()
-		}
-	}
-	g.SetReady(true)
-}
-
-// SetReady flips the /readyz answer. Callers that warm models by hand
-// (or want to take the process out of a routing pool without closing
-// it) drive this directly; Warm sets it as its last step.
+// SetReady flips the /readyz answer. Callers warm each model with
+// Server.Warm and then set it; it also takes the process out of a
+// routing pool without closing it.
 func (g *Registry) SetReady(v bool) { g.ready.Store(v) }
 
 // Ready reports whether the registry is warmed up and accepting
@@ -269,7 +237,7 @@ func (g *Registry) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/models/{name}/stream", g.handleModelStream)
 	mux.HandleFunc("POST /v1/models/{name}/swap", g.handleSwap)
 	mux.HandleFunc("GET /v1/models", g.handleList)
-	mux.HandleFunc("/v1/infer", g.handleDefaultInfer)
+	mux.HandleFunc("POST /v1/infer", g.handleDefaultInfer)
 	mux.HandleFunc("POST /v1/stream", g.handleDefaultStream)
 	mux.HandleFunc("/healthz", g.handleHealth)
 	mux.HandleFunc("/readyz", g.handleReady)
@@ -348,7 +316,7 @@ func (g *Registry) serveModel(w http.ResponseWriter, r *http.Request, m *registr
 	// to clients; a second ErrClosed means the registry really is
 	// shutting down and 503 is the honest answer.
 	for {
-		err := serveInferSwappable(w, r, srv, req)
+		err := serveInfer(w, r, srv, req)
 		if !errors.Is(err, ErrClosed) {
 			return
 		}
@@ -551,32 +519,11 @@ func (g *Registry) Snapshot() RegistrySnapshot {
 		s := m.server().Metrics().Snapshot()
 		if d := m.draining; d != nil {
 			ds := d.Metrics().Snapshot()
-			s.Accepted += ds.Accepted
-			s.Rejected += ds.Rejected
-			s.Expired += ds.Expired
-			s.Failed += ds.Failed
-			s.Completed += ds.Completed
-			s.TotalSpikes += ds.TotalSpikes
-			s.EarlyExitTotal += ds.EarlyExitTotal
-			s.EventsSaved += ds.EventsSaved
-			s.LatencyPathTotal += ds.LatencyPathTotal
-			s.StreamSessions += ds.StreamSessions
+			s.addCounters(ds)
 			s.StreamActive += ds.StreamActive
-			s.StreamFrames += ds.StreamFrames
 		}
-		r := m.retired
+		s.addCounters(m.retired)
 		m.retiredMu.Unlock()
-		s.Accepted += r.accepted
-		s.Rejected += r.rejected
-		s.Expired += r.expired
-		s.Failed += r.failed
-		s.Completed += r.completed
-		s.TotalSpikes += r.totalSpikes
-		s.EarlyExitTotal += r.earlyExit
-		s.EventsSaved += r.eventsSaved
-		s.LatencyPathTotal += r.latencyPath
-		s.StreamSessions += r.streamSessions
-		s.StreamFrames += r.streamFrames
 		if s.Completed > 0 {
 			s.SpikesPerSample = float64(s.TotalSpikes) / float64(s.Completed)
 		}

@@ -70,6 +70,24 @@ func (e *stubEngine) sawInput(v float64) bool {
 
 func input(v float64) []float64 { return []float64{v, 0, 0, 0} }
 
+// newTestRegistry hosts eng as model "m", the only and so the default
+// model of a ready Registry, and serves the registry's Handler — the
+// one HTTP surface of the package — on a test server. The test server
+// and the registry close at cleanup; tests may close either earlier.
+func newTestRegistry(t *testing.T, eng Engine, opt Options) (*Registry, *Server, *httptest.Server) {
+	t.Helper()
+	g := NewRegistry(RegistryOptions{})
+	t.Cleanup(g.Close)
+	s, err := g.Add("m", eng, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetReady(true)
+	ts := httptest.NewServer(g.Handler())
+	t.Cleanup(ts.Close)
+	return g, s, ts
+}
+
 // A worker that frees up must take every request queued meanwhile as
 // one engine call, up to MaxBatch.
 func TestSchedulerFormsBatches(t *testing.T) {
@@ -310,10 +328,7 @@ func TestInferValidatesInputLength(t *testing.T) {
 // concurrency soak.
 func TestHTTPConcurrentClients(t *testing.T) {
 	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 8, Workers: 2})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, _, ts := newTestRegistry(t, eng, Options{MaxBatch: 8, Workers: 2})
 
 	const clients, perClient = 8, 5
 	var wg sync.WaitGroup
@@ -349,11 +364,12 @@ func TestHTTPConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	var doc RegistrySnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	snap := doc.Models["m"].Snapshot
 	if snap.Completed != clients*perClient {
 		t.Fatalf("completed %d, want %d", snap.Completed, clients*perClient)
 	}
@@ -368,10 +384,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 }
 
 func TestHTTPErrorPaths(t *testing.T) {
-	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 2})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	g, _, ts := newTestRegistry(t, newStubEngine(), Options{MaxBatch: 2})
 
 	get := func(path string) int {
 		resp, err := http.Get(ts.URL + path)
@@ -406,7 +419,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 		t.Fatalf("good input = %d", got)
 	}
 
-	s.Close()
+	g.Close()
 	if got := get("/healthz"); got != http.StatusServiceUnavailable {
 		t.Fatalf("healthz after Close = %d", got)
 	}
@@ -621,9 +634,7 @@ func TestHTTPMaxTimeoutClamp(t *testing.T) {
 	eng := newStubEngine()
 	eng.enter = make(chan struct{}, 4)
 	eng.release = make(chan struct{}, 4)
-	s := New(eng, Options{MaxBatch: 1, Workers: 1, MaxTimeout: 30 * time.Millisecond})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, s, ts := newTestRegistry(t, eng, Options{MaxBatch: 1, Workers: 1, MaxTimeout: 30 * time.Millisecond})
 
 	// Occupy the only worker so clamped requests expire in the queue.
 	var wg sync.WaitGroup
@@ -662,10 +673,7 @@ func TestHTTPMaxTimeoutClamp(t *testing.T) {
 // Trailing garbage after the JSON body means the request was framed
 // wrong; it must be rejected, not silently half-read.
 func TestHTTPTrailingGarbageRejected(t *testing.T) {
-	s := New(newStubEngine(), Options{MaxBatch: 2})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, _, ts := newTestRegistry(t, newStubEngine(), Options{MaxBatch: 2})
 
 	for _, body := range []string{
 		`{"input":[1,2,3,4]}{"input":[1,2,3,4]}`,
@@ -699,9 +707,7 @@ func TestHTTPRetryAfterOnOverload(t *testing.T) {
 	eng := newStubEngine()
 	eng.enter = make(chan struct{}, 8)
 	eng.release = make(chan struct{}, 8)
-	s := New(eng, Options{MaxBatch: 1, QueueSize: 1, Workers: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, s, ts := newTestRegistry(t, eng, Options{MaxBatch: 1, QueueSize: 1, Workers: 1})
 
 	// Saturate: the blocked worker, the dispatcher's hand, and the queue
 	// slot only ever fill (no request carries a deadline and the engine

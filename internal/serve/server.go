@@ -102,8 +102,9 @@ type request struct {
 }
 
 // Server owns the request queue and the workers that drain it in
-// batches. Create with New, serve via Handler or Infer, stop with
-// Close (drains in-flight work).
+// batches. Create with New (or Registry.Add, which also serves it over
+// HTTP), submit with Infer, InferDirect or InferFrame, stop with Close
+// (drains in-flight work).
 type Server struct {
 	eng Engine
 	opt Options
@@ -171,10 +172,6 @@ func (s *Server) Warm() {
 		s.single.InferOne(make([]float64, s.eng.InLen()), -1)
 	}
 }
-
-// Single returns the engine's SingleEngine capability, or nil when the
-// engine is batch-only.
-func (s *Server) Single() SingleEngine { return s.single }
 
 // Closed reports whether Close has started.
 func (s *Server) Closed() bool {
@@ -301,34 +298,10 @@ func (s *Server) InferDirect(ctx context.Context, input []float64, sample, label
 	if s.single == nil {
 		return s.Infer(ctx, input, sample, label)
 	}
-	if len(input) != s.eng.InLen() {
-		return Prediction{}, fmt.Errorf("serve: input length %d, engine expects %d", len(input), s.eng.InLen())
-	}
-	if err := ctx.Err(); err != nil {
-		s.met.accept()
-		s.met.expire()
-		return Prediction{}, err
-	}
-	// The RLock pairs with Close's Lock, exactly like Infer's queue
-	// send: once closed is observed false the directWG.Add lands before
-	// Close's Wait can start.
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return Prediction{}, ErrClosed
-	}
-	s.directWG.Add(1)
-	s.mu.RUnlock()
-	defer s.directWG.Done()
-	s.met.accept()
-	start := time.Now()
-	pred, err := s.runSingle(input, sample)
-	if err != nil {
-		s.met.fail(1)
-		return Prediction{}, err
-	}
-	s.met.completeDirect(time.Since(start), pred, label)
-	return pred, nil
+	fr, err := s.inferSync(ctx, input, label, (*Metrics).completeDirect, func() FrameResult {
+		return FrameResult{Prediction: s.single.InferOne(input, sample)}
+	})
+	return fr.Prediction, err
 }
 
 // InferFrame runs one stream frame synchronously on the engine's
@@ -348,6 +321,18 @@ func (s *Server) InferFrame(ctx context.Context, input []float64, sample, label 
 		s.met.streamFrame()
 		return FrameResult{Prediction: pred}, nil
 	}
+	return s.inferSync(ctx, input, label, (*Metrics).completeStream, func() FrameResult {
+		return s.frame.InferFrame(input, sample, timeline)
+	})
+}
+
+// inferSync is the synchronous body of InferDirect and InferFrame: it
+// checks the input length, counts a dead context as accepted and
+// expired (like the queued path), admits the call under the close
+// lock, runs it with engine panics contained, and settles the ledger —
+// failed, or complete through the caller's completion counter.
+func (s *Server) inferSync(ctx context.Context, input []float64, label int,
+	complete func(*Metrics, time.Duration, Prediction, int), run func() FrameResult) (FrameResult, error) {
 	if len(input) != s.eng.InLen() {
 		return FrameResult{}, fmt.Errorf("serve: input length %d, engine expects %d", len(input), s.eng.InLen())
 	}
@@ -356,7 +341,9 @@ func (s *Server) InferFrame(ctx context.Context, input []float64, sample, label 
 		s.met.expire()
 		return FrameResult{}, err
 	}
-	// The RLock pairs with Close's Lock, exactly like InferDirect.
+	// The RLock pairs with Close's Lock, exactly like Infer's queue
+	// send: once closed is observed false the directWG.Add lands before
+	// Close's Wait can start.
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -367,33 +354,25 @@ func (s *Server) InferFrame(ctx context.Context, input []float64, sample, label 
 	defer s.directWG.Done()
 	s.met.accept()
 	start := time.Now()
-	fr, err := s.runFrame(input, sample, timeline)
+	fr, err := recoverEngine(run)
 	if err != nil {
 		s.met.fail(1)
 		return FrameResult{}, err
 	}
-	s.met.completeStream(time.Since(start), fr.Prediction, label)
+	complete(s.met, time.Since(start), fr.Prediction, label)
 	return fr, nil
 }
 
-// runFrame isolates frame-path engine panics, mirroring runSingle.
-func (s *Server) runFrame(input []float64, sample int, timeline bool) (fr FrameResult, err error) {
+// recoverEngine runs one engine call with its panics turned into an
+// error: a malformed model or fault stream must fail the request or
+// batch, not the server.
+func recoverEngine[T any](run func() T) (v T, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("serve: engine panic: %v", p)
 		}
 	}()
-	return s.frame.InferFrame(input, sample, timeline), nil
-}
-
-// runSingle isolates single-sample engine panics, mirroring runEngine.
-func (s *Server) runSingle(input []float64, sample int) (pred Prediction, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("serve: engine panic: %v", p)
-		}
-	}()
-	return s.single.InferOne(input, sample), nil
+	return run(), nil
 }
 
 // BeginDrain announces a graceful shutdown to long-lived observers
@@ -519,17 +498,11 @@ func (s *Server) runBatch(batch []*request) {
 	}
 }
 
-// runEngine isolates engine panics (a malformed model or fault stream
-// must fail the batch, not the server).
-func (s *Server) runEngine(inputs [][]float64, samples []int) (preds []Prediction, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("serve: engine panic: %v", p)
-		}
-	}()
-	preds = s.eng.InferBatch(inputs, samples)
-	if len(preds) != len(inputs) {
+// runEngine runs one batch on the engine with panics contained.
+func (s *Server) runEngine(inputs [][]float64, samples []int) ([]Prediction, error) {
+	preds, err := recoverEngine(func() []Prediction { return s.eng.InferBatch(inputs, samples) })
+	if err == nil && len(preds) != len(inputs) {
 		return nil, fmt.Errorf("serve: engine returned %d predictions for %d inputs", len(preds), len(inputs))
 	}
-	return preds, nil
+	return preds, err
 }

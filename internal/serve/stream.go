@@ -17,12 +17,10 @@ import (
 // admission decisions (rate limit, unknown model) must happen before
 // this is called.
 //
-// reacquire implements hot-swap chasing for registry deployments: when
-// the serving server drains mid-session it is asked for a replacement —
-// a non-nil, different server transparently continues the session; nil
-// means the process really is going away and the client gets the
-// terminal drain event. A nil reacquire (single-server deployments)
-// always drains.
+// reacquire implements hot-swap chasing: when the serving server drains
+// mid-session it is asked for a replacement — a non-nil, different
+// server transparently continues the session; nil means the process
+// really is going away and the client gets the terminal drain event.
 func serveStream(w http.ResponseWriter, r *http.Request, srv *Server, reacquire func(*Server) *Server) {
 	format := stream.Negotiate(r.Header.Get("Content-Type"), r.Header.Get("Accept"))
 	timeline := wantTimeline(r)
@@ -88,13 +86,11 @@ func serveStream(w http.ResponseWriter, r *http.Request, srv *Server, reacquire 
 	// swap replacement when there is one, else emit the terminal drain
 	// event. Returns the replacement, or nil when the session is over.
 	drainOrChase := func() *Server {
-		if reacquire != nil {
-			if ns := reacquire(srv); ns != nil && ns != srv {
-				met.streamDetach()
-				met = ns.Metrics()
-				met.streamAttach()
-				return ns
-			}
+		if ns := reacquire(srv); ns != nil && ns != srv {
+			met.streamDetach()
+			met = ns.Metrics()
+			met.streamAttach()
+			return ns
 		}
 		ev = stream.Event{Kind: stream.KindDrain, Seq: acked, Msg: "server draining; session complete as acked"}
 		emit()
@@ -228,22 +224,4 @@ func endAndClose(rc *http.ResponseController, r *http.Request) {
 func wantTimeline(r *http.Request) bool {
 	v := r.URL.Query().Get("timeline")
 	return v == "1" || v == "true"
-}
-
-// handleStream is the single-model /v1/stream endpoint.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	// Full duplex before any write: error responses here are sent while
-	// the client's chunked body is still open, and writeHeader would
-	// otherwise block draining it from a client that is itself waiting
-	// for our response.
-	_ = http.NewResponseController(w).EnableFullDuplex()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.Closed() {
-		writeError(w, http.StatusServiceUnavailable, ErrClosed.Error())
-		return
-	}
-	serveStream(w, r, s, nil)
 }

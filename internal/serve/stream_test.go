@@ -45,10 +45,7 @@ func (e *stubFrameEngine) InferFrame(input []float64, sample int, timeline bool)
 
 func newStreamServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(&stubFrameEngine{newStubEngine()}, Options{MaxBatch: 2})
-	t.Cleanup(s.Close)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	_, s, ts := newTestRegistry(t, &stubFrameEngine{newStubEngine()}, Options{MaxBatch: 2})
 	return s, ts
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/stream"
 	"repro/internal/testutil"
 )
 
@@ -319,7 +320,8 @@ func TestRegistrySwapEndpoint(t *testing.T) {
 }
 
 // Liveness vs readiness: /healthz is 200 from construction, /readyz
-// answers 503 until warmup (Warm or SetReady) and 503 again on Close.
+// answers 503 until the owner warms the model and calls SetReady, and
+// 503 again on Close.
 func TestRegistryReadiness(t *testing.T) {
 	g := NewRegistry(RegistryOptions{})
 	if _, err := g.Add("m", newStubEngine(), Options{MaxBatch: 4}); err != nil {
@@ -348,12 +350,13 @@ func TestRegistryReadiness(t *testing.T) {
 	if g.Ready() {
 		t.Fatal("Ready() true before warmup")
 	}
-	g.Warm()
+	g.Get("m").Warm()
+	g.SetReady(true)
 	if got := get("/readyz"); got != http.StatusOK {
-		t.Fatalf("readyz after Warm: %d, want 200", got)
+		t.Fatalf("readyz after warmup: %d, want 200", got)
 	}
 	if !g.Ready() {
-		t.Fatal("Ready() false after Warm")
+		t.Fatal("Ready() false after warmup")
 	}
 	g.SetReady(false)
 	if got := get("/readyz"); got != http.StatusServiceUnavailable {
@@ -372,28 +375,113 @@ func TestRegistryReadiness(t *testing.T) {
 	}
 }
 
+// cumulative names the counters a registry model carries across
+// hot-swaps by their /metrics keys.
+func cumulative(s Snapshot) map[string]uint64 {
+	return map[string]uint64{
+		"requests_accepted":   s.Accepted,
+		"requests_rejected":   s.Rejected,
+		"requests_expired":    s.Expired,
+		"requests_failed":     s.Failed,
+		"requests_completed":  s.Completed,
+		"total_spikes":        s.TotalSpikes,
+		"early_exit_total":    s.EarlyExitTotal,
+		"events_saved":        s.EventsSaved,
+		"latency_path_total":  s.LatencyPathTotal,
+		"stream_sessions":     s.StreamSessions,
+		"stream_frames_total": s.StreamFrames,
+	}
+}
+
 // A /metrics scrape landing in a swap's drain window — after the
 // cutover, before the old server's counters fold into the retired
 // totals — must still count the retiring server: per-model counters
 // never go backwards and requests in flight on the old engine stay
-// visible as accepted.
+// visible as accepted. Every cumulative counter crosses the swap
+// unchanged, in the drain window and after the fold.
 func TestRegistrySnapshotCountsDrainingServer(t *testing.T) {
-	old := newStubEngine()
+	old := newSingleStubEngine()
 	old.enter = make(chan struct{}, 4)
 	old.release = make(chan struct{}, 4)
 	g := NewRegistry(RegistryOptions{})
-	if _, err := g.Add("m", old, Options{MaxBatch: 4}); err != nil {
+	srv, err := g.Add("m", syncStubEngine{old}, Options{MaxBatch: 1, Workers: 1, QueueSize: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
+	ts := httptest.NewServer(g.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+
+	// Tick every cumulative counter on the old server: a stream frame,
+	// a direct request (latency path, early exit, events saved), a
+	// failure, an expiry, and a rejection behind a full queue.
+	c := openStream(t, ts.URL, "", false)
+	c.send(t, false, input(1))
+	if ev := c.next(t); ev.Kind != stream.KindFrame {
+		t.Fatalf("stream event kind %q", ev.Kind)
+	}
+	c.pw.Close()
+	waitStreamIdle(t, srv)
+	if _, err := srv.InferDirect(ctx, input(2), -1, -1); err != nil {
+		t.Fatal(err)
+	}
+	old.panicOnce = true
+	if _, err := srv.InferDirect(ctx, input(2), -1, -1); err == nil {
+		t.Fatal("panicking engine: want an error")
+	}
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := srv.Infer(dead, input(2), -1, -1); err == nil {
+		t.Fatal("dead context: want an error")
+	}
+	// park runs one queued request in the background, reporting its
+	// outcome on the returned channel.
+	park := func(v float64) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := srv.Infer(ctx, input(v), -1, -1)
+			done <- err
+		}()
+		return done
+	}
+	first := park(3)
+	<-old.enter // the only worker is busy
+	accepted := srv.Metrics().Snapshot().Accepted
+	queued := park(4)
+	for srv.Metrics().Snapshot().Accepted == accepted {
+		time.Sleep(time.Millisecond) // until the queue's one slot is taken
+	}
+	if _, err := srv.Infer(ctx, input(5), -1, -1); err != ErrOverloaded {
+		t.Fatalf("full queue: err = %v, want ErrOverloaded", err)
+	}
+	old.release <- struct{}{}
+	<-old.enter
+	old.release <- struct{}{}
+	for _, done := range []chan error{first, queued} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Park one request inside the old engine's InferBatch.
-	inferDone := make(chan error, 1)
-	go func() {
-		_, err := g.Get("m").Infer(context.Background(), input(1), -1, -1)
-		inferDone <- err
-	}()
+	inferDone := park(6)
 	<-old.enter
+	before := g.Snapshot().Models["m"].Snapshot
+	for k, v := range cumulative(before) {
+		if v == 0 {
+			t.Errorf("%s = 0 before the swap; the test must tick every counter", k)
+		}
+	}
+	check := func(when string, want Snapshot) {
+		t.Helper()
+		got := cumulative(g.Snapshot().Models["m"].Snapshot)
+		for k, v := range cumulative(want) {
+			if got[k] != v {
+				t.Errorf("%s: %s = %d, want %d", when, k, got[k], v)
+			}
+		}
+	}
 
 	// Cut over while that request is still in flight; the swap's drain
 	// blocks on the gated batch, holding the drain window open.
@@ -408,10 +496,9 @@ func TestRegistrySnapshotCountsDrainingServer(t *testing.T) {
 	}
 
 	// Mid-drain scrape: the old server is neither live nor retired yet,
-	// but its accepted request must still be counted.
-	if got := g.Snapshot().Models["m"].Accepted; got != 1 {
-		t.Fatalf("accepted = %d during the drain window, want 1", got)
-	}
+	// but everything it counted — the parked request included — must
+	// still be visible.
+	check("drain window", before)
 
 	old.release <- struct{}{}
 	if err := <-inferDone; err != nil {
@@ -420,10 +507,12 @@ func TestRegistrySnapshotCountsDrainingServer(t *testing.T) {
 	if err := <-swapDone; err != nil {
 		t.Fatalf("swap: %v", err)
 	}
+	// After the fold only the parked request's completion has moved.
+	want := before
+	want.Completed++
+	want.TotalSpikes += 10
+	check("after drain", want)
 	snap := g.Snapshot().Models["m"]
-	if snap.Accepted != 1 || snap.Completed != 1 {
-		t.Fatalf("after drain: accepted %d completed %d, want 1/1", snap.Accepted, snap.Completed)
-	}
 	if snap.Accepted != snap.Completed+snap.Expired+snap.Failed {
 		t.Fatalf("identity broken: accepted %d != completed %d + expired %d + failed %d",
 			snap.Accepted, snap.Completed, snap.Expired, snap.Failed)

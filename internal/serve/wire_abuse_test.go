@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -34,11 +33,7 @@ func mangle(frame []byte, off int, v byte) []byte {
 // before acceptance, so accepted = completed + expired + failed holds
 // exactly with only the good requests counted.
 func TestWireAbuseDirect(t *testing.T) {
-	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 2})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, s, ts := newTestRegistry(t, newStubEngine(), Options{MaxBatch: 2})
 
 	good := goodWireFrame()
 	shortPayload := wire.AppendRequest(nil, wire.Request{Lane: wire.LaneF32, Sample: -1, Label: -1},
@@ -102,11 +97,7 @@ func TestWireAbuseDirect(t *testing.T) {
 // server must survive (no hang, no crash), keep serving, and admit
 // nothing from the aborted requests.
 func TestWireAbuseMidBodyDisconnect(t *testing.T) {
-	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 2})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, s, ts := newTestRegistry(t, newStubEngine(), Options{MaxBatch: 2})
 
 	good := goodWireFrame()
 	for i := 0; i < 4; i++ {
@@ -143,11 +134,7 @@ func TestWireAbuseMidBodyDisconnect(t *testing.T) {
 // one connection: a slow-but-honest client must not be confused with an
 // aborted one, and the request must complete.
 func TestWireAbuseSlowPartialBody(t *testing.T) {
-	eng := newStubEngine()
-	s := New(eng, Options{MaxBatch: 2})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, _, ts := newTestRegistry(t, newStubEngine(), Options{MaxBatch: 2})
 
 	good := goodWireFrame()
 	conn, err := net.Dial("tcp", ts.Listener.Addr().String())

@@ -4,8 +4,9 @@
 # whose allocs/op increased at all.
 #
 #   scripts/benchdiff.sh OLD.json NEW.json
-#   scripts/benchdiff.sh                 # the two newest BENCH_*.json
-#                                        # (newest = "new", runner-up = "old")
+#   scripts/benchdiff.sh                 # the two newest BENCH_*.json by
+#                                        # their "date" field (newest =
+#                                        # "new", runner-up = "old")
 #   scripts/benchdiff.sh --if-baseline   # soft mode for make check: exit 0
 #                                        # with a note when no comparable
 #                                        # baseline pair exists yet
@@ -42,8 +43,17 @@ if [[ ${#ARGS[@]} -eq 2 ]]; then
   NEW="${ARGS[1]}"
   [[ -r "$OLD" && -r "$NEW" ]] || skip "cannot read $OLD / $NEW"
 elif [[ ${#ARGS[@]} -eq 0 ]]; then
+  # Order by each record's own "date", not by file mtime: a git
+  # checkout stamps every file with the checkout time.
   FILES=()
-  while IFS= read -r f; do FILES+=("$f"); done < <(ls -1t BENCH_*.json 2>/dev/null)
+  while IFS= read -r f; do FILES+=("$f"); done < <(
+    for f in BENCH_*.json; do
+      [[ -e "$f" ]] || continue
+      d=$(sed -n 's/^ *"date": *"\([^"]*\)".*/\1/p' "$f" | head -n 1)
+      secs=0
+      [[ -z "$d" ]] || secs=$(date -d "$d" +%s 2>/dev/null) || secs=0
+      printf '%s\t%s\n' "$secs" "$f"
+    done | sort -k1,1nr -k2,2r | cut -f2-)
   [[ ${#FILES[@]} -ge 2 ]] || skip "need two BENCH_*.json records, have ${#FILES[@]}"
   NEW="${FILES[0]}"
   OLD="${FILES[1]}"
