@@ -34,96 +34,37 @@ func (b Burst) params() (float64, int) {
 
 // Run implements Scheme.
 func (b Burst) Run(net *snn.Net, input []float64, opts RunOpts) snn.SimResult {
-	steps, fs := opts.Steps, opts.Faults
 	g, maxLen := b.params()
-	nStages := len(net.Stages)
-	gates := boundaryGates(fs, nStages)
-
 	sc := scratchFor(opts)
-	res := newSimResult(sc, net, steps)
-	inputAcc := sc.floats(net.InLen)
-	inputBurst := sc.ints(net.InLen)
-	pot := sc.potentials(net)
-	burst := sc.bursts(net)
-	spikeBuf := sc.spikeBufs(net)
-	pow := sc.powers(g, maxLen)
+	return runLadder(net, input, opts, sc, sc.powers(g, maxLen))
+}
 
-	for t := 0; t < steps; t++ {
-		spikeBuf[0] = spikeBuf[0][:0]
+// runLadder runs a deterministic coding whose spikes climb the weight
+// ladder [1, g, g², …]: burst coding, or rate coding with the one-rung
+// ladder [1]. Its input encoder is the hidden neurons' integrate-and-fire
+// rule fed a constant current per pixel, without threshold noise.
+func runLadder(net *snn.Net, input []float64, opts RunOpts, sc *Scratch, ladder []float64) snn.SimResult {
+	fs := opts.Faults
+	acc, rung := sc.floats(net.InLen), sc.ints(net.InLen)
+	top := len(ladder) - 1
+	return simulate(net, opts, sc, ladder, 0, func(_ int, _ float64, out []fault.Spike) []fault.Spike {
 		for i, u := range input {
-			if fs != nil {
-				switch fs.Stuck(0, i) {
-				case fault.StuckSilent:
-					continue
-				case fault.StuckFire:
-					spikeBuf[0] = append(spikeBuf[0], fault.Spike{Idx: i, W: 1})
-					continue
-				}
-			}
-			if u <= 0 {
+			var stuck bool
+			if out, stuck = stuckAt(fs, 0, i, 1, out); stuck || u <= 0 {
 				continue
 			}
-			inputAcc[i] += u
-			w := pow[inputBurst[i]]
-			if inputAcc[i] >= w {
-				inputAcc[i] -= w
-				spikeBuf[0] = append(spikeBuf[0], fault.Spike{Idx: i, W: w})
-				if inputBurst[i] < maxLen-1 {
-					inputBurst[i]++
+			acc[i] += u
+			w := ladder[rung[i]]
+			if acc[i] >= w {
+				acc[i] -= w
+				out = append(out, fault.Spike{Idx: i, W: w})
+				if rung[i] < top {
+					rung[i]++
 				}
 			} else {
-				inputBurst[i] = 0
+				rung[i] = 0
 			}
 		}
-
-		for si := range net.Stages {
-			st := &net.Stages[si]
-			st.AddBias(pot[si])
-			in := gateStep(gates, si, t, spikeBuf[si])
-			res.SpikesPerStage[si] += len(in)
-			for _, s := range in {
-				st.Scatter(s.Idx, s.W, pot[si])
-			}
-			if st.Output {
-				break
-			}
-			spikeBuf[si+1] = spikeBuf[si+1][:0]
-			pp := pot[si]
-			bb := burst[si]
-			for j := range pp {
-				if fs != nil {
-					switch fs.Stuck(si+1, j) {
-					case fault.StuckSilent:
-						continue
-					case fault.StuckFire:
-						// a jammed driver fires unit spikes, ignoring the
-						// burst ladder and the membrane state
-						spikeBuf[si+1] = append(spikeBuf[si+1], fault.Spike{Idx: j, W: 1})
-						continue
-					}
-				}
-				w := pow[bb[j]]
-				thr := w
-				if fs != nil {
-					thr = fs.Threshold(si+1, t, thr)
-				}
-				if pp[j] >= thr {
-					pp[j] -= w
-					spikeBuf[si+1] = append(spikeBuf[si+1], fault.Spike{Idx: j, W: w})
-					if bb[j] < maxLen-1 {
-						bb[j]++
-					}
-				} else {
-					bb[j] = 0
-				}
-			}
-		}
-		if opts.CollectTimeline {
-			res.RecordPred(t, pot[nStages-1])
-		}
-	}
-	res.Pred = snn.ArgMax(pot[nStages-1])
-	res.Potentials = pot[nStages-1]
-	res.CountSpikes()
-	return res
+		return out
+	})
 }

@@ -2,9 +2,9 @@
 // paper compares T2FSNN against: rate coding (Diehl 2015 / Rueckauer
 // 2017), phase coding with weighted spikes (Kim 2018), and burst coding
 // (Park, DAC 2019). All three run the same converted network
-// (internal/convert) under a clock-driven integrate-and-fire simulation
-// and report spikes, decision timelines and accuracy-versus-time curves
-// for Fig. 6 and Tables II–III. T2FSNN itself is not a Scheme: it runs
+// (internal/convert) through one clock-driven integrate-and-fire loop
+// (simulate) and report spikes, decision timelines and
+// accuracy-versus-time curves for Fig. 6 and Tables II–III. T2FSNN itself is not a Scheme: it runs
 // on internal/core (core.Model.InferOne, core.Evaluate).
 package coding
 
@@ -92,12 +92,6 @@ func Evaluate(s Scheme, net *snn.Net, x *tensor.Tensor, labels []int, steps, str
 	return EvaluateSweep(s, net, x, labels, SweepOpts{Steps: steps, Stride: stride})
 }
 
-// EvaluateFaulted is Evaluate under fault injection: each sample i runs
-// with the per-sample stream inj.Sample(i) (nil inj = no faults).
-func EvaluateFaulted(s Scheme, net *snn.Net, x *tensor.Tensor, labels []int, steps, stride int, inj *fault.Injector) (EvalResult, error) {
-	return EvaluateSweep(s, net, x, labels, SweepOpts{Steps: steps, Stride: stride, Faults: inj})
-}
-
 // EvaluateSweep is the full-control sweep: fault injection plus
 // optional data-parallel execution over a shared core.Pool.
 func EvaluateSweep(s Scheme, net *snn.Net, x *tensor.Tensor, labels []int, opts SweepOpts) (EvalResult, error) {
@@ -111,42 +105,28 @@ func EvaluateSweep(s Scheme, net *snn.Net, x *tensor.Tensor, labels []int, opts 
 	}
 	steps, stride, inj := opts.Steps, opts.Stride, opts.Faults
 	if stride <= 0 {
-		stride = steps / 50
-		if stride == 0 {
-			stride = 1
-		}
+		stride = max(steps/50, 1)
 	}
 	res := EvalResult{SchemeName: s.Name(), Steps: steps, N: n}
 	preds := make([]int, n)
 	spikes := make([]int, n)
 	timelines := make([][]snn.TimedPred, n)
 	// Only Timeline/Pred/TotalSpikes are retained across samples, none of
-	// which alias scratch memory — so one scratch per worker (or one for
-	// the whole sequential sweep) is safe.
-	runRange := func(lo, hi int, sc *Scratch) {
+	// which alias scratch memory — so one scratch per worker (one for a
+	// sequential sweep) is safe.
+	scratches := make([]*Scratch, opts.Pool.Workers())
+	opts.Pool.Each(n, max(n/(len(scratches)*4), 1), func(lo, hi, worker int) {
+		if scratches[worker] == nil {
+			scratches[worker] = NewScratch()
+		}
 		for i := lo; i < hi; i++ {
 			in := x.Data[i*sampleLen : (i+1)*sampleLen]
-			r := s.Run(net, in, RunOpts{Steps: steps, CollectTimeline: true, Faults: inj.Sample(i), Scratch: sc})
+			r := s.Run(net, in, RunOpts{Steps: steps, CollectTimeline: true, Faults: inj.Sample(i), Scratch: scratches[worker]})
 			preds[i] = r.Pred
 			spikes[i] = r.TotalSpikes
 			timelines[i] = r.Timeline
 		}
-	}
-	if w := opts.Pool.Workers(); w > 1 {
-		scratches := make([]*Scratch, w)
-		chunk := n / (w * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-		opts.Pool.Each(n, chunk, func(lo, hi, worker int) {
-			if scratches[worker] == nil {
-				scratches[worker] = NewScratch()
-			}
-			runRange(lo, hi, scratches[worker])
-		})
-	} else {
-		runRange(0, n, NewScratch())
-	}
+	})
 	correct := 0
 	totalSpikes := 0.0
 	for i := 0; i < n; i++ {
@@ -157,15 +137,7 @@ func EvaluateSweep(s Scheme, net *snn.Net, x *tensor.Tensor, labels []int, opts 
 	}
 	res.Accuracy = float64(correct) / float64(n)
 	res.AvgSpikes = totalSpikes / float64(n)
-	for step := 0; step <= steps; step += stride {
-		hit := 0
-		for i, tl := range timelines {
-			if predAt(tl, step) == labels[i] {
-				hit++
-			}
-		}
-		res.Curve = append(res.Curve, CurvePoint{Step: step, Accuracy: float64(hit) / float64(n)})
-	}
+	res.Curve = core.AccuracyCurve(timelines, labels, steps, stride)
 	res.ConvergenceStep = ConvergenceStep(res.Curve, res.Accuracy)
 	return res, nil
 }
@@ -182,28 +154,4 @@ func ConvergenceStep(curve []CurvePoint, final float64) int {
 		return curve[len(curve)-1].Step
 	}
 	return 0
-}
-
-func predAt(tl []snn.TimedPred, step int) int {
-	pred := -1
-	for _, tp := range tl {
-		if tp.Step > step {
-			break
-		}
-		pred = tp.Pred
-	}
-	return pred
-}
-
-// newSimResult builds the result for a network with the standard
-// stage-boundary spike accounting, its tally drawn from the scratch's
-// results arena (the scratch aliasing contract covers SpikesPerStage).
-func newSimResult(sc *Scratch, net *snn.Net, steps int) snn.SimResult {
-	// Boundary 0 is the input encoding; boundary i is stage i-1's fire
-	// output. The final (Output) stage never fires, so there are exactly
-	// len(Stages) boundaries — the same accounting internal/core uses.
-	return snn.SimResult{
-		Steps:          steps,
-		SpikesPerStage: sc.stageCounts(len(net.Stages)),
-	}
 }

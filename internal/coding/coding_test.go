@@ -143,10 +143,10 @@ func TestTimelineInvariants(t *testing.T) {
 			}
 			prev = tp.Step
 		}
-		if got := r.PredAt(1 << 30); got != r.Pred {
+		if got := snn.PredAt(r.Timeline, 1<<30); got != r.Pred {
 			t.Fatalf("%s: PredAt(inf) = %d, want %d", s.Name(), got, r.Pred)
 		}
-		if r.PredAt(-1) != -1 {
+		if snn.PredAt(r.Timeline, -1) != -1 {
 			t.Fatalf("%s: PredAt before start should be -1", s.Name())
 		}
 		if r.TotalSpikes <= 0 {

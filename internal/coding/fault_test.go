@@ -101,13 +101,13 @@ func TestSchemesJitterConservesSpikes(t *testing.T) {
 	}
 }
 
-// EvaluateFaulted must be deterministic for a fixed seed.
+// A faulted sweep must be deterministic for a fixed seed.
 func TestEvaluateFaultedDeterministic(t *testing.T) {
 	fx := testutil.TrainedLeNet16()
 	inj := mustInjector(t, fault.Config{Seed: 11, Drop: 0.2})
 	x := tensor.FromSlice(fx.X.Data[:20*256], 20, 256)
 	run := func() EvalResult {
-		r, err := EvaluateFaulted(Rate{}, fx.Conv.Net, x, fx.Labels[:20], 150, 30, inj)
+		r, err := EvaluateSweep(Rate{}, fx.Conv.Net, x, fx.Labels[:20], SweepOpts{Steps: 150, Stride: 30, Faults: inj})
 		if err != nil {
 			t.Fatal(err)
 		}

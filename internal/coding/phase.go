@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/snn"
+	"repro/internal/tensor"
 )
 
 // Phase is phase coding with weighted spikes (Kim et al. 2018): a global
@@ -30,104 +31,33 @@ func (p Phase) period() int {
 
 // Run implements Scheme.
 func (p Phase) Run(net *snn.Net, input []float64, opts RunOpts) snn.SimResult {
-	steps, fs := opts.Steps, opts.Faults
-	k := p.period()
-	nStages := len(net.Stages)
-	gates := boundaryGates(fs, nStages)
-
-	sc := scratchFor(opts)
-	res := newSimResult(sc, net, steps)
+	k, fs, sc := p.period(), opts.Faults, scratchFor(opts)
 
 	// Quantize inputs once: bit b of round(u·2^K) selects a spike at
 	// phase b carrying weight 2^-(1+b).
 	bits := sc.uint32s(net.InLen)
 	for i, u := range input {
-		q := uint32(math.Round(snnClamp(u, 0, 1) * float64(uint32(1)<<k)))
+		q := uint32(math.Round(tensor.Clamp(u, 0, 1) * float64(uint32(1)<<k)))
 		if q >= 1<<k {
 			q = 1<<k - 1
 		}
 		bits[i] = q
 	}
 
-	pot := sc.potentials(net)
-	spikeBuf := sc.spikeBufs(net)
-
-	for t := 0; t < steps; t++ {
-		phase := t % k
-		weight := math.Exp2(-float64(1 + phase))
-
-		// input: emit the bit for this phase, every period
-		spikeBuf[0] = spikeBuf[0][:0]
-		bit := uint32(1) << (k - 1 - phase)
+	// Hidden neurons fire one-rung spikes of the oscillator weight, so
+	// the membrane threshold follows the phase.
+	return simulate(net, opts, sc, oneRung, k, func(t int, unit float64, out []fault.Spike) []fault.Spike {
+		// emit the bit for this phase, every period
+		bit := uint32(1) << (k - 1 - t%k)
 		for i, q := range bits {
-			if fs != nil {
-				switch fs.Stuck(0, i) {
-				case fault.StuckSilent:
-					continue
-				case fault.StuckFire:
-					spikeBuf[0] = append(spikeBuf[0], fault.Spike{Idx: i, W: weight})
-					continue
-				}
+			var stuck bool
+			if out, stuck = stuckAt(fs, 0, i, unit, out); stuck {
+				continue
 			}
 			if q&bit != 0 {
-				spikeBuf[0] = append(spikeBuf[0], fault.Spike{Idx: i, W: weight})
+				out = append(out, fault.Spike{Idx: i, W: unit})
 			}
 		}
-
-		for si := range net.Stages {
-			st := &net.Stages[si]
-			if phase == 0 {
-				// biases inject their value once per period
-				st.AddBias(pot[si])
-			}
-			in := gateStep(gates, si, t, spikeBuf[si])
-			res.SpikesPerStage[si] += len(in)
-			for _, s := range in {
-				st.Scatter(s.Idx, s.W, pot[si])
-			}
-			if st.Output {
-				break
-			}
-			spikeBuf[si+1] = spikeBuf[si+1][:0]
-			pp := pot[si]
-			for j := range pp {
-				if fs != nil {
-					switch fs.Stuck(si+1, j) {
-					case fault.StuckSilent:
-						continue
-					case fault.StuckFire:
-						spikeBuf[si+1] = append(spikeBuf[si+1], fault.Spike{Idx: j, W: weight})
-						continue
-					}
-				}
-				// fire a weighted spike when the membrane covers the
-				// current phase weight (phase-modulated threshold)
-				thr := weight
-				if fs != nil {
-					thr = fs.Threshold(si+1, t, thr)
-				}
-				if pp[j] >= thr {
-					pp[j] -= weight
-					spikeBuf[si+1] = append(spikeBuf[si+1], fault.Spike{Idx: j, W: weight})
-				}
-			}
-		}
-		if opts.CollectTimeline {
-			res.RecordPred(t, pot[nStages-1])
-		}
-	}
-	res.Pred = snn.ArgMax(pot[nStages-1])
-	res.Potentials = pot[nStages-1]
-	res.CountSpikes()
-	return res
-}
-
-func snnClamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+		return out
+	})
 }

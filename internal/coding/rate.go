@@ -14,7 +14,8 @@ import (
 // with soft reset (subtract); biases inject constant current every
 // step. Accuracy converges slowly as rates are averaged over time, at
 // the cost of many spikes — the baseline the paper's Table II
-// normalizes energy against.
+// normalizes energy against. Deterministic rate coding is burst coding
+// with the one-rung ladder [1].
 type Rate struct {
 	// Poisson selects stochastic Bernoulli input encoding; Seed makes
 	// it reproducible.
@@ -30,122 +31,23 @@ func (r Rate) Name() string {
 	return "Rate"
 }
 
-// boundaryGates builds the per-fire-boundary transmission gates (drop +
-// delivery delay) for a clock-driven simulation; nil when the stream
-// injects no transmission faults.
-func boundaryGates(fs *fault.Stream, nStages int) []*fault.ClockGate {
-	if fs == nil {
-		return nil
-	}
-	gates := make([]*fault.ClockGate, nStages)
-	live := false
-	for b := range gates {
-		gates[b] = fs.ClockGate(b)
-		live = live || gates[b] != nil
-	}
-	if !live {
-		return nil
-	}
-	return gates
-}
-
-// gateStep routes boundary b's emissions through its gate (pass-through
-// when no gates are active).
-func gateStep(gates []*fault.ClockGate, b, t int, emitted []fault.Spike) []fault.Spike {
-	if gates == nil {
-		return emitted
-	}
-	return gates[b].Step(t, emitted)
-}
-
 // Run implements Scheme.
 func (r Rate) Run(net *snn.Net, input []float64, opts RunOpts) snn.SimResult {
-	steps, fs := opts.Steps, opts.Faults
-	nStages := len(net.Stages)
-	var rng *tensor.RNG
-	if r.Poisson {
-		rng = tensor.NewRNG(r.Seed ^ 0x706f6973)
+	if !r.Poisson {
+		return runLadder(net, input, opts, scratchFor(opts), oneRung)
 	}
-	gates := boundaryGates(fs, nStages)
-
-	sc := scratchFor(opts)
-	res := newSimResult(sc, net, steps)
-	inputAcc := sc.floats(net.InLen)
-	pot := sc.potentials(net)
-	spikeBuf := sc.spikeBufs(net) // reused spike lists per boundary
-
-	for t := 0; t < steps; t++ {
-		// input encoding: constant-current IF (deterministic) or
-		// Bernoulli draws with p = pixel value (Poisson mode)
-		spikeBuf[0] = spikeBuf[0][:0]
+	fs, rng := opts.Faults, tensor.NewRNG(r.Seed^0x706f6973)
+	return simulate(net, opts, scratchFor(opts), oneRung, 0, func(_ int, _ float64, out []fault.Spike) []fault.Spike {
+		// Bernoulli draws with p = pixel value
 		for i, u := range input {
-			if fs != nil {
-				switch fs.Stuck(0, i) {
-				case fault.StuckSilent:
-					continue
-				case fault.StuckFire:
-					spikeBuf[0] = append(spikeBuf[0], fault.Spike{Idx: i, W: 1})
-					continue
-				}
-			}
-			if u <= 0 {
+			var stuck bool
+			if out, stuck = stuckAt(fs, 0, i, 1, out); stuck || u <= 0 {
 				continue
 			}
-			if rng != nil {
-				if rng.Float64() < u {
-					spikeBuf[0] = append(spikeBuf[0], fault.Spike{Idx: i, W: 1})
-				}
-				continue
-			}
-			inputAcc[i] += u
-			if inputAcc[i] >= 1 {
-				inputAcc[i]--
-				spikeBuf[0] = append(spikeBuf[0], fault.Spike{Idx: i, W: 1})
+			if rng.Float64() < u {
+				out = append(out, fault.Spike{Idx: i, W: 1})
 			}
 		}
-
-		// synchronous sweep: spikes cascade through the stack this step
-		for si := range net.Stages {
-			st := &net.Stages[si]
-			st.AddBias(pot[si]) // constant bias current per step
-			in := gateStep(gates, si, t, spikeBuf[si])
-			res.SpikesPerStage[si] += len(in)
-			for _, s := range in {
-				st.Scatter(s.Idx, s.W, pot[si])
-			}
-			if st.Output {
-				break
-			}
-			spikeBuf[si+1] = spikeBuf[si+1][:0]
-			p := pot[si]
-			for j := range p {
-				if fs != nil {
-					switch fs.Stuck(si+1, j) {
-					case fault.StuckSilent:
-						continue
-					case fault.StuckFire:
-						spikeBuf[si+1] = append(spikeBuf[si+1], fault.Spike{Idx: j, W: 1})
-						continue
-					}
-				}
-				thr := 1.0
-				if fs != nil {
-					thr = fs.Threshold(si+1, t, thr)
-				}
-				if p[j] >= thr {
-					// soft reset by the transmitted quantum (1), not the
-					// perturbed comparison threshold
-					p[j]--
-					spikeBuf[si+1] = append(spikeBuf[si+1], fault.Spike{Idx: j, W: 1})
-				}
-			}
-		}
-		if opts.CollectTimeline {
-			res.RecordPred(t, pot[nStages-1])
-		}
-	}
-	res.Pred = snn.ArgMax(pot[nStages-1])
-	res.Potentials = pot[nStages-1]
-	res.CountSpikes()
-	return res
+		return out
+	})
 }

@@ -123,7 +123,7 @@ func referencePhase(p Phase, net *snn.Net, input []float64, opts RunOpts) snn.Si
 	// phase b carrying weight 2^-(1+b).
 	bits := sc.uint32s(net.InLen)
 	for i, u := range input {
-		q := uint32(math.Round(snnClamp(u, 0, 1) * float64(uint32(1)<<k)))
+		q := uint32(math.Round(tensor.Clamp(u, 0, 1) * float64(uint32(1)<<k)))
 		if q >= 1<<k {
 			q = 1<<k - 1
 		}
@@ -215,7 +215,7 @@ func referenceBurst(b Burst, net *snn.Net, input []float64, opts RunOpts) snn.Si
 	inputAcc := sc.floats(net.InLen)
 	inputBurst := sc.ints(net.InLen)
 	pot := sc.potentials(net)
-	burst := sc.bursts(net)
+	burst := sc.rungs(net)
 	spikeBuf := sc.spikeBufs(net)
 	pow := sc.powers(g, maxLen)
 

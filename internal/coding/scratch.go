@@ -6,10 +6,10 @@ import (
 )
 
 // Scratch is the reusable working set of the clock-driven scheme
-// simulators: input accumulators, per-stage membrane potentials, burst-state counters, and
-// the per-boundary spike buffers. Pass one via RunOpts.Scratch to stop a
-// sustained caller (serving worker, evaluation sweep) from reallocating
-// the full working set on every Run.
+// simulator: input accumulators, per-stage membrane potentials, weight
+// ladder rungs, and the per-boundary spike buffers. Pass one via
+// RunOpts.Scratch to stop a sustained caller (serving worker, evaluation
+// sweep) from reallocating the full working set on every Run.
 //
 // A Scratch is NOT safe for concurrent use; give each worker its own.
 // A SimResult produced with a scratch aliases scratch memory through its
@@ -21,13 +21,13 @@ import (
 type Scratch struct {
 	maxStages int
 	acc       []float64   // input accumulators (rate/burst)
-	accBurst  []int       // input burst ladder (burst)
+	accRung   []int       // input ladder rungs (rate/burst)
 	bits      []uint32    // quantized inputs (phase)
 	pow       []float64   // burst weight ladder
 	pot       [][]float64 // per-stage membrane potentials
 	potBack   []float64
-	burst     [][]int // per-stage burst ladders
-	burstBack []int
+	rung      [][]int // per-stage ladder rungs
+	rungBack  []int
 	spikeBuf  [][]fault.Spike // per-boundary spike lists
 	counts    []int           // SimResult.SpikesPerStage backing
 }
@@ -58,10 +58,10 @@ func (sc *Scratch) floats(n int) []float64 {
 
 // ints returns a zeroed int buffer of n entries.
 func (sc *Scratch) ints(n int) []int {
-	if cap(sc.accBurst) < n {
-		sc.accBurst = make([]int, n)
+	if cap(sc.accRung) < n {
+		sc.accRung = make([]int, n)
 	}
-	s := sc.accBurst[:n]
+	s := sc.accRung[:n]
 	for i := range s {
 		s[i] = 0
 	}
@@ -112,7 +112,7 @@ func (sc *Scratch) ensureStages(net *snn.Net) {
 	if n > sc.maxStages {
 		sc.maxStages = n
 		sc.pot = make([][]float64, n)
-		sc.burst = make([][]int, n)
+		sc.rung = make([][]int, n)
 		old := sc.spikeBuf
 		sc.spikeBuf = make([][]fault.Spike, n+1)
 		copy(sc.spikeBuf, old) // keep grown spike-list capacity
@@ -124,8 +124,8 @@ func (sc *Scratch) ensureStages(net *snn.Net) {
 	if cap(sc.potBack) < total {
 		sc.potBack = make([]float64, total)
 	}
-	if cap(sc.burstBack) < total {
-		sc.burstBack = make([]int, total)
+	if cap(sc.rungBack) < total {
+		sc.rungBack = make([]int, total)
 	}
 }
 
@@ -146,14 +146,14 @@ func (sc *Scratch) potentials(net *snn.Net) [][]float64 {
 	return pot
 }
 
-// bursts returns zeroed per-stage burst-ladder buffers for net.
-func (sc *Scratch) bursts(net *snn.Net) [][]int {
+// rungs returns zeroed per-stage ladder-rung buffers for net.
+func (sc *Scratch) rungs(net *snn.Net) [][]int {
 	sc.ensureStages(net)
-	bb := sc.burst[:len(net.Stages)]
+	bb := sc.rung[:len(net.Stages)]
 	off := 0
 	for si := range net.Stages {
 		n := net.Stages[si].OutLen
-		b := sc.burstBack[off : off+n : off+n]
+		b := sc.rungBack[off : off+n : off+n]
 		for i := range b {
 			b[i] = 0
 		}

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/snn"
+)
 
 // InferAnalytic runs the baseline (guaranteed-integration) pipeline in
 // closed form: because every input spike of a layer has arrived before
@@ -38,7 +42,7 @@ func (m *Model) InferAnalytic(input []float64) Result {
 		st := &m.Net.Stages[si]
 		pot := st.Forward(decoded)
 		if st.Output {
-			res.Pred = argmax(pot)
+			res.Pred = snn.ArgMax(pot)
 			res.Potentials = pot
 			break
 		}

@@ -130,7 +130,7 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Evaluate(m, batch, fixture.labels[:60], EvalOptions{Workers: 4})
+	par, err := Evaluate(m, batch, fixture.labels[:60], EvalOptions{Pool: testPool(t, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/snn"
 	"repro/internal/tensor"
 )
 
@@ -72,15 +72,11 @@ type EvalOptions struct {
 	CurveStride int
 	// CollectStats enables the per-stage spike-time statistics.
 	CollectStats bool
-	// Workers runs samples concurrently (Infer only reads the model,
-	// so a Model is safe to share). 0 or 1 = sequential; negative =
-	// one worker per GOMAXPROCS; values above the sample count clamp.
-	// Ignored when Pool is set.
-	Workers int
-	// Pool runs the sweep on a shared worker pool with chunk-granularity
-	// work stealing instead of spinning up per-call goroutines. Results
+	// Pool runs samples concurrently on a shared worker pool with
+	// chunk-granularity work stealing (inference only reads the model,
+	// so a Model is safe to share); nil runs them sequentially. Results
 	// are identical either way: samples are aggregated in order after
-	// all inferences finish. Overrides Workers when non-nil.
+	// all inferences finish.
 	Pool *Pool
 	// Faults evaluates under fault injection: sample i runs with the
 	// stream Faults.Sample(i). Streams are pure functions of
@@ -105,7 +101,7 @@ func Evaluate(m *Model, x *tensor.Tensor, labels []int, opts EvalOptions) (EvalR
 // to respect deadlines instead of running to completion.
 func EvaluateContext(ctx context.Context, m *Model, x *tensor.Tensor, labels []int, opts EvalOptions) (EvalResult, error) {
 	n := x.Shape[0]
-	if n != len(labels) {
+	if n == 0 || n != len(labels) {
 		return EvalResult{}, fmt.Errorf("core: %d samples with %d labels", n, len(labels))
 	}
 	sampleLen := x.Len() / n
@@ -153,40 +149,14 @@ func EvaluateContext(ctx context.Context, m *Model, x *tensor.Tensor, labels []i
 		cfg.Faults = opts.Faults.Sample(i)
 		results[i] = m.InferOne(x.Data[i*sampleLen:(i+1)*sampleLen], cfg, InferOpts{Engine: opts.Engine})
 	}
-	pool := opts.Pool
-	if pool == nil {
-		workers := opts.Workers
-		if workers < 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > n {
-			workers = n
-		}
-		if workers > 1 {
-			// ad-hoc pool for this call; chunk claiming replaces the old
-			// per-sample channel feed
-			tmp := NewPool(ParallelOpts{Workers: workers})
-			defer tmp.Close()
-			pool = tmp
-		}
-	}
-	if pool.Workers() > 1 {
-		pool.Each(n, evalChunk(n, pool.Workers()), func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				inferOne(i)
-			}
-		})
-	} else {
-		for i := 0; i < n; i++ {
+	opts.Pool.Each(n, evalChunk(n, opts.Pool.Workers()), func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
 			if ctx.Err() != nil {
-				break
+				return
 			}
 			inferOne(i)
 		}
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		return EvalResult{}, err
 	}
@@ -194,14 +164,11 @@ func EvaluateContext(ctx context.Context, m *Model, x *tensor.Tensor, labels []i
 	correct := 0
 	ok := 0
 	totalSpikes := 0.0
-	var timelines [][]TimedPred
+	timelines := make([][]TimedPred, n)
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			res.Errors = append(res.Errors, SampleError{Index: i, Err: errs[i].Error()})
 			res.Confusion.Add(labels[i], -1)
-			if opts.CurveStride > 0 {
-				timelines = append(timelines, nil)
-			}
 			continue
 		}
 		ok++
@@ -229,9 +196,7 @@ func EvaluateContext(ctx context.Context, m *Model, x *tensor.Tensor, labels []i
 				}
 			}
 		}
-		if opts.CurveStride > 0 {
-			timelines = append(timelines, r.Timeline)
-		}
+		timelines[i] = r.Timeline
 	}
 	res.Accuracy = float64(correct) / float64(n)
 	if ok > 0 {
@@ -242,28 +207,28 @@ func EvaluateContext(ctx context.Context, m *Model, x *tensor.Tensor, labels []i
 	}
 
 	if opts.CurveStride > 0 {
-		for step := 0; step <= res.Latency; step += opts.CurveStride {
-			hit := 0
-			for i, tl := range timelines {
-				if tl != nil && predAt(tl, step) == labels[i] {
-					hit++
-				}
-			}
-			res.Curve = append(res.Curve, CurvePoint{Step: step, Accuracy: float64(hit) / float64(n)})
-		}
+		res.Curve = AccuracyCurve(timelines, labels, res.Latency, opts.CurveStride)
 	}
 	return res, nil
 }
 
-func predAt(tl []TimedPred, step int) int {
-	pred := -1
-	for _, tp := range tl {
-		if tp.Step > step {
-			break
+// AccuracyCurve samples an inference curve (paper Fig. 6) from
+// per-sample decision timelines: at steps 0, stride, 2·stride, … up to
+// last, the fraction of samples whose decision then (snn.PredAt)
+// matches the label. A nil timeline never matches. stride must be
+// positive.
+func AccuracyCurve(timelines [][]TimedPred, labels []int, last, stride int) []CurvePoint {
+	var curve []CurvePoint
+	for step := 0; step <= last; step += stride {
+		hit := 0
+		for i, tl := range timelines {
+			if snn.PredAt(tl, step) == labels[i] {
+				hit++
+			}
 		}
-		pred = tp.Pred
+		curve = append(curve, CurvePoint{Step: step, Accuracy: float64(hit) / float64(len(labels))})
 	}
-	return pred
+	return curve
 }
 
 // MeanAbsDiff is a helper reporting the mean absolute difference between

@@ -147,7 +147,7 @@ func (m *Model) runOutputStageEvent(sc *InferScratch, st *snn.Stage, si int, inK
 			return
 		}
 	}
-	res.Pred = argmax(pot)
+	res.Pred = snn.ArgMax(pot)
 	finish()
 }
 

@@ -52,6 +52,14 @@ func TestInferFaultHooksAreNoOpWhenDisabled(t *testing.T) {
 	}
 }
 
+// testPool returns a pool of the given worker count (0 means one per
+// GOMAXPROCS), closed when the test ends.
+func testPool(t *testing.T, workers int) *Pool {
+	p := NewPool(ParallelOpts{Workers: workers})
+	t.Cleanup(p.Close)
+	return p
+}
+
 func evalSubset(t *testing.T, m *Model, n int, opts EvalOptions) EvalResult {
 	t.Helper()
 	x := tensor.FromSlice(fixture.x.Data[:n*256], n, 256)
@@ -72,17 +80,17 @@ func TestEvaluateFaultedIndependentOfWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := evalSubset(t, m, 40, EvalOptions{Faults: inj})
-	par := evalSubset(t, m, 40, EvalOptions{Faults: inj, Workers: 4})
-	neg := evalSubset(t, m, 40, EvalOptions{Faults: inj, Workers: -1}) // default to GOMAXPROCS
+	par := evalSubset(t, m, 40, EvalOptions{Faults: inj, Pool: testPool(t, 4)})
+	gmp := evalSubset(t, m, 40, EvalOptions{Faults: inj, Pool: testPool(t, 0)}) // one per GOMAXPROCS
 	if seq.Accuracy != par.Accuracy || seq.AvgSpikes != par.AvgSpikes {
 		t.Fatalf("worker count changed faulted result: %.4f/%.0f vs %.4f/%.0f",
 			seq.Accuracy, seq.AvgSpikes, par.Accuracy, par.AvgSpikes)
 	}
-	if seq.Accuracy != neg.Accuracy || seq.AvgSpikes != neg.AvgSpikes {
-		t.Fatalf("negative Workers changed faulted result")
+	if seq.Accuracy != gmp.Accuracy || seq.AvgSpikes != gmp.AvgSpikes {
+		t.Fatalf("GOMAXPROCS-sized pool changed faulted result")
 	}
 	// repeat run is bit-identical (seeded determinism)
-	again := evalSubset(t, m, 40, EvalOptions{Faults: inj, Workers: 3})
+	again := evalSubset(t, m, 40, EvalOptions{Faults: inj, Pool: testPool(t, 3)})
 	if seq.Accuracy != again.Accuracy || seq.AvgSpikes != again.AvgSpikes {
 		t.Fatal("faulted evaluation not reproducible")
 	}
@@ -116,7 +124,7 @@ func TestEvaluateRecoversPanickingSamples(t *testing.T) {
 	st := &broken.Net.Stages[len(broken.Net.Stages)-1]
 	st.W = tensor.FromSlice(append([]float64(nil), st.W.Data[:4]...), 4)
 	res, err := Evaluate(broken, tensor.FromSlice(fixture.x.Data[:10*256], 10, 256),
-		fixture.labels[:10], EvalOptions{Workers: 2})
+		fixture.labels[:10], EvalOptions{Pool: testPool(t, 2)})
 	if err != nil {
 		t.Fatalf("sweep died instead of recording sample errors: %v", err)
 	}
@@ -140,22 +148,31 @@ func TestEvaluateContextCancellation(t *testing.T) {
 	if _, err := EvaluateContext(ctx, m, x, fixture.labels[:10], EvalOptions{}); err == nil {
 		t.Fatal("cancelled context accepted")
 	}
-	if _, err := EvaluateContext(ctx, m, x, fixture.labels[:10], EvalOptions{Workers: 4}); err == nil {
+	if _, err := EvaluateContext(ctx, m, x, fixture.labels[:10], EvalOptions{Pool: testPool(t, 4)}); err == nil {
 		t.Fatal("cancelled context accepted (parallel path)")
 	}
 }
 
-// Workers larger than the sample count must clamp, not leak goroutines
+// A pool with more workers than samples must clamp, not leak goroutines
 // or misbehave.
 func TestEvaluateWorkerClamp(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
-	res := evalSubset(t, m, 3, EvalOptions{Workers: 64})
+	res := evalSubset(t, m, 3, EvalOptions{Pool: testPool(t, 64)})
 	if res.N != 3 {
 		t.Fatalf("N = %d, want 3", res.N)
 	}
 	seq := evalSubset(t, m, 3, EvalOptions{})
 	if res.Accuracy != seq.Accuracy {
 		t.Fatal("clamped parallel run differs from sequential")
+	}
+}
+
+// An empty evaluation set is an error, not a divide-by-zero panic.
+func TestEvaluateEmptySet(t *testing.T) {
+	loadFixture(t)
+	m := fixture.model()
+	if _, err := Evaluate(m, tensor.New(0, 256), nil, EvalOptions{}); err == nil {
+		t.Fatal("empty evaluation set accepted")
 	}
 }

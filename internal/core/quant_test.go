@@ -439,7 +439,7 @@ func TestQuantEngineTimeline(t *testing.T) {
 			t.Fatalf("timeline steps not increasing at %d", i)
 		}
 	}
-	if got := res.PredAt(res.Latency); got != res.Pred {
+	if got := snn.PredAt(res.Timeline, res.Latency); got != res.Pred {
 		t.Fatalf("PredAt(latency) = %d, want %d", got, res.Pred)
 	}
 }

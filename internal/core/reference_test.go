@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/fault"
+	"repro/internal/snn"
 	"repro/internal/tensor"
 )
 
@@ -55,7 +56,7 @@ func referenceClocked(m *Model, input []float64, cfg RunConfig) Result {
 			for off := 0; off < m.T; off++ {
 				deliver(off)
 			}
-			res.Pred = argmax(pot)
+			res.Pred = snn.ArgMax(pot)
 			res.Potentials = pot
 			return res
 		}

@@ -182,11 +182,9 @@ func (c RunConfig) advance(t int) int {
 	return c.EFStart
 }
 
-// TimedPred is one point of the output-decision timeline.
-type TimedPred struct {
-	Step int // global time step at which this prediction became current
-	Pred int
-}
+// TimedPred is one point of the output-decision timeline, shared with
+// the baseline codings via internal/snn (read it with snn.PredAt).
+type TimedPred = snn.TimedPred
 
 // Result summarizes one inference.
 type Result struct {
@@ -220,20 +218,6 @@ type Result struct {
 	// EventsSaved counts output-stage arrival spikes that were never
 	// integrated because of the early exit.
 	EventsSaved int
-}
-
-// PredAt returns the model's decision if it were read out at the given
-// global step: the latest timeline entry at or before the step, or -1
-// when no information has reached the output yet.
-func (r *Result) PredAt(step int) int {
-	pred := -1
-	for _, tp := range r.Timeline {
-		if tp.Step > step {
-			break
-		}
-		pred = tp.Pred
-	}
-	return pred
 }
 
 // inferClockedBody runs the clocked pipeline on a prepared scratch
@@ -468,7 +452,7 @@ func (m *Model) runOutputStage(sc *InferScratch, st *snn.Stage, si int, inK kern
 			}
 		}
 	}
-	res.Pred = argmax(pot)
+	res.Pred = snn.ArgMax(pot)
 	res.Potentials = pot
 	if cfg.CollectTimeline {
 		res.record(res.Latency, pot)
@@ -481,7 +465,7 @@ func (m *Model) runOutputStage(sc *InferScratch, st *snn.Stage, si int, inK kern
 
 // record appends a timeline entry when the output argmax changed.
 func (r *Result) record(step int, pot []float64) {
-	r.recordPred(step, argmax(pot))
+	r.recordPred(step, snn.ArgMax(pot))
 }
 
 // recordPred appends a timeline entry when the prediction changed — the
@@ -531,17 +515,4 @@ func collectGlobal(times []int, base int) []int {
 		}
 	}
 	return out
-}
-
-func argmax(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best, bi := v[0], 0
-	for i, x := range v {
-		if x > best {
-			best, bi = x, i
-		}
-	}
-	return bi
 }

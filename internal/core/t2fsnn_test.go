@@ -251,7 +251,7 @@ func TestBaselineAccuracyNearReference(t *testing.T) {
 		in := fixture.x.Data[i*256 : (i+1)*256]
 		r := m.InferOne(in, RunConfig{}, InferOpts{})
 		ref := convert.ReferenceForward(fixture.res.Net, append([]float64(nil), in...), true)
-		if r.Pred == argmax(ref) {
+		if r.Pred == snn.ArgMax(ref) {
 			agree++
 		}
 	}
@@ -340,10 +340,10 @@ func TestTimelineAndPredAt(t *testing.T) {
 	if len(r.Timeline) == 0 {
 		t.Fatal("no timeline recorded")
 	}
-	if r.PredAt(-1) != -1 {
+	if snn.PredAt(r.Timeline, -1) != -1 {
 		t.Fatal("PredAt before any information should be -1")
 	}
-	if got := r.PredAt(r.Latency); got != r.Pred {
+	if got := snn.PredAt(r.Timeline, r.Latency); got != r.Pred {
 		t.Fatalf("PredAt(latency) = %d, final pred = %d", got, r.Pred)
 	}
 	// timeline steps must be within the output window

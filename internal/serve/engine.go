@@ -452,9 +452,7 @@ func (e *SchemeEngine) InferFrame(input []float64, sample int, timeline bool) Fr
 	fr := FrameResult{
 		Prediction:  schemePrediction(r),
 		StageSpikes: append([]int(nil), r.SpikesPerStage...),
-	}
-	for _, tp := range r.Timeline {
-		fr.Timeline = append(fr.Timeline, core.TimedPred{Step: tp.Step, Pred: tp.Pred})
+		Timeline:    append([]core.TimedPred(nil), r.Timeline...),
 	}
 	e.scratch.put(sc)
 	return fr

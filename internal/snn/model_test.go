@@ -190,8 +190,8 @@ func TestSimResultHelpers(t *testing.T) {
 	if len(r.Timeline) != 2 {
 		t.Fatalf("timeline length = %d, want 2", len(r.Timeline))
 	}
-	if r.PredAt(2) != -1 || r.PredAt(4) != 1 || r.PredAt(100) != 2 {
-		t.Fatalf("PredAt wrong: %d %d %d", r.PredAt(2), r.PredAt(4), r.PredAt(100))
+	if PredAt(r.Timeline, 2) != -1 || PredAt(r.Timeline, 4) != 1 || PredAt(r.Timeline, 100) != 2 {
+		t.Fatalf("PredAt wrong: %d %d %d", PredAt(r.Timeline, 2), PredAt(r.Timeline, 4), PredAt(r.Timeline, 100))
 	}
 }
 

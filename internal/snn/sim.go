@@ -27,11 +27,11 @@ type SimResult struct {
 	Potentials []float64
 }
 
-// PredAt returns the decision that was current at the given step, or -1
-// before any output activity.
-func (r *SimResult) PredAt(step int) int {
+// PredAt returns the timeline's decision current at the given step (the
+// latest entry at or before it), or -1 before any output activity.
+func PredAt(timeline []TimedPred, step int) int {
 	pred := -1
-	for _, tp := range r.Timeline {
+	for _, tp := range timeline {
 		if tp.Step > step {
 			break
 		}

@@ -30,9 +30,10 @@ GMP="${GOMAXPROCS:-$(nproc)}"
 # The hot-path benchmarks the zero-allocation work is gated on.
 # BenchmarkServeE2E (internal/serve) covers the HTTP request path:
 # mux + negotiation + decode + direct inference + encode, JSON vs
-# binary wire formats.
-PATTERN='BenchmarkInfer$|BenchmarkInferBatch$|BenchmarkInferBatchParallel$|BenchmarkInferEventEarlyExit$|BenchmarkInferQuant$|BenchmarkServeE2E$'
-PKG="./internal/core/ ./internal/serve/"
+# binary wire formats. BenchmarkSchemeRun (internal/coding) times the
+# rate, Poisson-rate, phase and burst baseline codings.
+PATTERN='BenchmarkInfer$|BenchmarkInferBatch$|BenchmarkInferBatchParallel$|BenchmarkInferEventEarlyExit$|BenchmarkInferQuant$|BenchmarkServeE2E$|BenchmarkSchemeRun$'
+PKG="./internal/core/ ./internal/serve/ ./internal/coding/"
 
 if [[ $SMOKE -eq 1 ]]; then
   BENCHTIME=1x
