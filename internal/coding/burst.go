@@ -47,10 +47,10 @@ func runLadder(net *snn.Net, input []float64, opts RunOpts, sc *Scratch, ladder 
 	fs := opts.Faults
 	acc, rung := sc.floats(net.InLen), sc.ints(net.InLen)
 	top := len(ladder) - 1
-	return simulate(net, opts, sc, ladder, 0, func(_ int, _ float64, out []fault.Spike) []fault.Spike {
+	return simulate(net, opts, sc, ladder, 0, func(_ int, unit float64, out []fault.Spike) []fault.Spike {
 		for i, u := range input {
 			var stuck bool
-			if out, stuck = stuckAt(fs, 0, i, 1, out); stuck || u <= 0 {
+			if out, stuck = stuckAt(fs, 0, i, unit, out); stuck || u <= 0 {
 				continue
 			}
 			acc[i] += u

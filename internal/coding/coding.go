@@ -4,8 +4,9 @@
 // (Park, DAC 2019). All three run the same converted network
 // (internal/convert) through one clock-driven integrate-and-fire loop
 // (simulate) and report spikes, decision timelines and
-// accuracy-versus-time curves for Fig. 6 and Tables II–III. T2FSNN itself is not a Scheme: it runs
-// on internal/core (core.Model.InferOne, core.Evaluate).
+// accuracy-versus-time curves for Fig. 6 and Tables II–III. T2FSNN
+// itself is not a Scheme: it runs on internal/core (core.Model.InferOne,
+// core.Evaluate).
 package coding
 
 import (

@@ -37,11 +37,11 @@ func (r Rate) Run(net *snn.Net, input []float64, opts RunOpts) snn.SimResult {
 		return runLadder(net, input, opts, scratchFor(opts), oneRung)
 	}
 	fs, rng := opts.Faults, tensor.NewRNG(r.Seed^0x706f6973)
-	return simulate(net, opts, scratchFor(opts), oneRung, 0, func(_ int, _ float64, out []fault.Spike) []fault.Spike {
+	return simulate(net, opts, scratchFor(opts), oneRung, 0, func(_ int, unit float64, out []fault.Spike) []fault.Spike {
 		// Bernoulli draws with p = pixel value
 		for i, u := range input {
 			var stuck bool
-			if out, stuck = stuckAt(fs, 0, i, 1, out); stuck || u <= 0 {
+			if out, stuck = stuckAt(fs, 0, i, unit, out); stuck || u <= 0 {
 				continue
 			}
 			if rng.Float64() < u {

@@ -11,24 +11,22 @@ import (
 // hidden neuron fires carries the step's unit weight.
 var oneRung = []float64{1}
 
-// encoder appends the input spikes of step t to out; unit is the step's
-// spike weight (1, or phase coding's oscillator weight).
-type encoder func(t int, unit float64, out []fault.Spike) []fault.Spike
-
 // simulate is the clock-driven integrate-and-fire loop every baseline
 // coding runs; the codings differ only in their input encoder, their
-// weight ladder and their clock. Each step encode emits the input
-// spikes, which cascade through the stack: every stage takes its bias,
-// its gated input spikes, and then fires. A hidden neuron on rung k
-// fires a spike of weight w = unit·ladder[k] once its membrane reaches
-// w (the threshold, under threshold noise), soft-resets by w and climbs
-// one rung; a step without a spike sends it back to rung 0. period 0 is
-// the unit clock (unit 1, bias every step); period K > 0 is phase
-// coding's oscillator: unit 2^−(1+t mod K), bias once per period.
+// weight ladder and their clock. Each step encode appends the input
+// spikes of step t, weighted by the step's unit, to out; they cascade
+// through the stack: every stage takes its bias, its gated input
+// spikes, and then fires. A hidden neuron on rung k fires a spike of
+// weight w = unit·ladder[k] once its membrane reaches w (the threshold,
+// under threshold noise), soft-resets by w and climbs one rung; a step
+// without a spike sends it back to rung 0. period 0 is the unit clock
+// (unit 1, bias every step); period K > 0 is phase coding's oscillator:
+// unit 2^−(1+t mod K), bias once per period.
 //
 // encode is passed as a func literal at every call site so it stays on
 // the caller's stack: a Run with a warm scratch allocates nothing.
-func simulate(net *snn.Net, opts RunOpts, sc *Scratch, ladder []float64, period int, encode encoder) snn.SimResult {
+func simulate(net *snn.Net, opts RunOpts, sc *Scratch, ladder []float64, period int,
+	encode func(t int, unit float64, out []fault.Spike) []fault.Spike) snn.SimResult {
 	steps, fs := opts.Steps, opts.Faults
 	nStages := len(net.Stages)
 	gates := boundaryGates(fs, nStages)

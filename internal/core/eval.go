@@ -215,8 +215,8 @@ func EvaluateContext(ctx context.Context, m *Model, x *tensor.Tensor, labels []i
 // AccuracyCurve samples an inference curve (paper Fig. 6) from
 // per-sample decision timelines: at steps 0, stride, 2·stride, … up to
 // last, the fraction of samples whose decision then (snn.PredAt)
-// matches the label. A nil timeline never matches. stride must be
-// positive.
+// matches the label. A nil timeline (a failed sample) holds no
+// decision. stride must be positive.
 func AccuracyCurve(timelines [][]TimedPred, labels []int, last, stride int) []CurvePoint {
 	var curve []CurvePoint
 	for step := 0; step <= last; step += stride {
