@@ -224,7 +224,7 @@ func main() {
 		}
 
 		// Defer warmup until after the listener is up: the first
-		// inference builds the model's scatter plan and sizes a pooled
+		// inference builds the model's scatter tables and sizes a pooled
 		// scratch, which would otherwise land on the first user
 		// request's latency. /readyz answers 503 until every model is
 		// warm, so a gateway or orchestrator never routes to a replica

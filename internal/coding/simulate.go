@@ -60,6 +60,7 @@ func simulate(net *snn.Net, opts RunOpts, sc *Scratch, ladder []float64, period 
 			}
 			out := spikeBuf[si+1][:0]
 			p, rung := pot[si], rungs[si]
+			noise := fs.ThresholdDraw(si+1, t) // one draw per boundary and step
 			for j := range p {
 				w := unit * ladder[rung[j]]
 				thr := w
@@ -68,7 +69,7 @@ func simulate(net *snn.Net, opts RunOpts, sc *Scratch, ladder []float64, period 
 					if out, stuck = stuckAt(fs, si+1, j, unit, out); stuck {
 						continue
 					}
-					thr = fs.Threshold(si+1, t, w)
+					thr = noise.Apply(w)
 				}
 				if p[j] >= thr {
 					// soft reset by the transmitted weight, not the

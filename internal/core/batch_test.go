@@ -145,7 +145,7 @@ func TestInferBatchMatchesInferUnderFaults(t *testing.T) {
 
 // BenchmarkInferBatch measures the sequential batch loop in its serving
 // configuration — one InferOne per sample on one scratch — with the
-// scratch and the model's scatter plan warmed before the timer, so
+// scratch and the model's scatter tables warmed before the timer, so
 // allocs/op pins 0 and benchdiff can gate regressions on this path the
 // same way it gates the parallel and event benchmarks.
 func BenchmarkInferBatch(b *testing.B) {

@@ -18,35 +18,6 @@ func (m *Model) inferEventBody(sc *InferScratch, input []float64, cfg RunConfig)
 	return m.inferFloat(sc, input, cfg, cfg.EarlyExit && !cfg.CollectTimeline)
 }
 
-// outputBounds returns the output stage's per-RowKey single-synapse
-// weight bounds: one arrival on a row with per-spike scale s moves any
-// single output potential up by at most s·gain[key] and down by at most
-// s·loss[key] (both stored non-negative). Cached model-lifetime; forces
-// every output row to build, which Warm absorbs in serving.
-func (m *Model) outputBounds(si int) (gain, loss []float64) {
-	m.boundsOnce.Do(func() {
-		st := &m.Net.Stages[si]
-		plan := m.stagePlan(si)
-		n := st.NumRowKeys()
-		m.outGain = make([]float64, n)
-		m.outLoss = make([]float64, n)
-		for key := 0; key < n; key++ {
-			var g, l float64
-			for _, c := range plan.Row(key) {
-				if c.W > g {
-					g = c.W
-				}
-				if -c.W > l {
-					l = -c.W
-				}
-			}
-			m.outGain[key] = g
-			m.outLoss[key] = l
-		}
-	})
-	return m.outGain, m.outLoss
-}
-
 // eeRelSlack/eeAbsSlack pad the undominated-winner comparison against
 // floating-point drift: the suffix bounds are exact in real arithmetic
 // but the potentials accumulate rounding, so the margin must clear the
@@ -68,17 +39,17 @@ const (
 //	final[j≠best] ≤ pot[j] + remGain ≤ second + remGain
 //
 // with remGain/remLoss the suffix sums of the per-arrival row bounds
-// (outputBounds) — so pot[best] − second > remGain + remLoss (padded
-// for FP drift) proves best stays the strict argmax, preserving the
-// lowest-index tie-break.
+// (Model.outGain/outLoss) — so pot[best] − second > remGain + remLoss
+// (padded for FP drift) proves best stays the strict argmax, preserving
+// the lowest-index tie-break.
 func (m *Model) runOutputStageEvent(sc *InferScratch, st *snn.Stage, si int, inK kernel.Kernel, inTimes []int, windowStart int, res *Result) {
 	sc.ensureEvent()
 	pot := sc.floats.take(st.OutLen)
 	st.AddBias(pot)
-	plan := m.stagePlan(si)
+	ss := &m.scatters()[si]
 	buckets := sc.bucketizeInto(inTimes, m.T)
 	dec := sc.decode(inK, m.T)
-	gain, loss := m.outputBounds(si)
+	gain, loss := m.outGain, m.outLoss
 
 	// Suffix bounds over the window, built tail-first by pure
 	// accumulation (no subtraction drift can understate a bound):
@@ -91,9 +62,9 @@ func (m *Model) runOutputStageEvent(sc *InferScratch, st *snn.Stage, si int, inK
 	for off := m.T - 1; off >= 0; off-- {
 		var g, l float64
 		for _, idx := range buckets[off] {
-			key, div := st.RowKey(idx)
-			g += gain[key] / div
-			l += loss[key] / div
+			key := ss.key(idx)
+			g += gain[key] / ss.div
+			l += loss[key] / ss.div
 		}
 		remGain[off] = remGain[off+1] + dec[off]*g
 		remLoss[off] = remLoss[off+1] + dec[off]*l
@@ -140,9 +111,7 @@ func (m *Model) runOutputStageEvent(sc *InferScratch, st *snn.Stage, si int, inK
 		if len(buckets[off]) == 0 {
 			continue
 		}
-		for _, idx := range buckets[off] {
-			scatterPlanned(plan, st, idx, dec[off], pot)
-		}
+		ss.scatter(buckets[off], dec[off], pot)
 		if exitAt(off) {
 			return
 		}

@@ -15,9 +15,11 @@ const (
 	// RunConfig.EarlyExit it stops integrating the output window once
 	// the winner is provably undominated, which guarantees only the
 	// argmax (spike times and counts stay the clocked engine's). Without
-	// EarlyExit it is EngineClocked. On the fixture the exit is within
-	// noise of the full window: 265 vs 281 µs batch-1 with early firing
-	// off, 464 vs 438 µs with it on (2 CPUs, BENCH_2026-10-17_sweep.json).
+	// EarlyExit it is EngineClocked. Against the full window the exit
+	// saves little: batch-1 on the fixture 247 vs 203 µs with early
+	// firing off and 324 vs 334 µs with it on, and on the served
+	// geometry 0.97 vs 0.98 ms per sample (2 CPUs, one record:
+	// BENCH_2026-10-18_taps.json).
 	EngineEvent
 	// EngineQuant runs the clocked pipeline on int8 structure-of-arrays
 	// scatter plans with int32 accumulators (internal/core/quant.go):

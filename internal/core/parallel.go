@@ -34,7 +34,7 @@ type poolCall struct {
 // (Each): Evaluate and the coding sweeps spread samples over it, and
 // internal/serve's engines spread each batch's samples over it, one
 // scratch per worker index. The pool itself holds no inference state;
-// the model's shared scatter plans are read lock-free by every worker.
+// the model's shared scatter tables are read lock-free by every worker.
 //
 // Parallel calls are serialized internally (one runs at a time), so
 // concurrent Each calls are safe: their results flow through fn. Calls

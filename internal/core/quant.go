@@ -38,7 +38,7 @@ const accCap = float64(1 << 30)
 
 // quantStage is the per-stage weight-grid state of the fixed-point
 // engine, cached for the model's lifetime (weights are frozen; see
-// snn.ScatterPlan). Kernel-dependent values — decode, threshold, and
+// stageScatter). Kernel-dependent values — decode, threshold, and
 // the stage shift sf — are requantized per call into scratch LUTs, so
 // ApplyGO needs no invalidation.
 type quantStage struct {

@@ -19,7 +19,7 @@ const quantParityMin = 0.99
 // referenceQuant is an independent naive re-implementation of the
 // fixed-point semantics: int64 accumulators (so an int32 overflow in
 // the engine shows up as a mismatch), rows re-derived from
-// Stage.AppendContribs with weights re-quantized inline (so an SoA
+// Stage.ScatterVisit with weights re-quantized inline (so an SoA
 // build bug shows up too), no buckets, no scratch. ok=false reports the
 // engine's documented fallback case (headroom infeasible at sf=0).
 func referenceQuant(m *Model, input []float64, cfg RunConfig) (res Result, ok bool) {
@@ -77,16 +77,18 @@ func referenceQuant(m *Model, input []float64, cfg RunConfig) (res Result, ok bo
 				if tOff != off {
 					continue
 				}
-				key, _ := st.RowKey(idx)
-				for _, c := range st.AppendContribs(key, nil) {
-					q := snn.FixedRound(c.W / qs.step)
+				// A scale of div cancels the pool divisor, so the
+				// visitor sees the raw weights (div/div·w = w exactly).
+				_, div := st.RowKey(idx)
+				st.ScatterVisit(idx, div, func(j int, w float64) {
+					q := snn.FixedRound(w / qs.step)
 					if q > float64(qs.maxQ) {
 						q = float64(qs.maxQ)
 					} else if q < -float64(qs.maxQ) {
 						q = -float64(qs.maxQ)
 					}
-					acc[c.J] += s * int64(q)
-				}
+					acc[j] += s * int64(q)
+				})
 			}
 		}
 

@@ -25,53 +25,25 @@ type Model struct {
 	K   []kernel.Kernel
 	T   int // time window per layer, in steps
 
-	// plans cache per-stage scatter rows (snn.ScatterPlan) so inference
-	// stops re-deriving per-spike addresses; built lazily because models
-	// are also constructed by composite literal. Kernels only shape
-	// thresholds and decode scales, never the rows, so ApplyGO needs no
-	// invalidation; stage weights are frozen after construction (see
-	// snn.ScatterPlan).
-	planOnce sync.Once
-	plans    []*snn.ScatterPlan
-
-	// outGain/outLoss cache, per output-stage RowKey, the largest
-	// positive (outGain) and largest-magnitude negative (outLoss, stored
-	// positive) single-synapse weight of the row. One arrival with unit
-	// kernel scale can raise any single output potential by at most
-	// outGain[key]/div and lower it by at most outLoss[key]/div — the
-	// per-event bound behind the early-exit undominated-winner rule.
-	boundsOnce       sync.Once
+	// scat holds every stage's compact scatter form (stageScatter),
+	// and outGain/outLoss, per output-stage row key, the largest positive
+	// (outGain) and largest-magnitude negative (outLoss, stored positive)
+	// single-synapse weight of the row. One arrival with unit kernel
+	// scale can raise any single output potential by at most
+	// outGain[key]/div and lower it by at most outLoss[key]/div: the
+	// per-event bound behind the early-exit undominated-winner rule. All
+	// three are built together on the first inference (scatters).
+	scatterOnce      sync.Once
+	scat             []stageScatter
 	outGain, outLoss []float64
 
 	// qstages cache the fixed-point engine's per-stage int8 SoA scatter
 	// plans plus the weight-grid constants (internal/core/quant.go).
-	// Like plans, they depend only on the frozen stage weights — kernel
+	// Like scat, they depend only on the frozen stage weights — kernel
 	// retuning (ApplyGO) shifts the decode/threshold LUTs, which the
 	// quant engine requantizes per call — so no invalidation is needed.
 	quantOnce sync.Once
 	qstages   []quantStage
-}
-
-// stagePlan returns the cached scatter plan of stage si.
-func (m *Model) stagePlan(si int) *snn.ScatterPlan {
-	m.planOnce.Do(func() {
-		m.plans = make([]*snn.ScatterPlan, len(m.Net.Stages))
-		for i := range m.Net.Stages {
-			m.plans[i] = snn.NewScatterPlan(&m.Net.Stages[i])
-		}
-	})
-	return m.plans[si]
-}
-
-// scatterPlanned replays a cached scatter row into pot: bit-identical to
-// st.Scatter(idx, scale, pot) (same division, same visit order) with the
-// address arithmetic paid once per row per model lifetime.
-func scatterPlanned(plan *snn.ScatterPlan, st *snn.Stage, idx int, scale float64, pot []float64) {
-	key, div := st.RowKey(idx)
-	s := scale / div
-	for _, c := range plan.Row(key) {
-		pot[c.J] += s * c.W
-	}
 }
 
 // NewModel equips a converted network with uniform initial kernels
@@ -316,7 +288,7 @@ func (m *Model) runHiddenStage(sc *InferScratch, st *snn.Stage, inK, outK kernel
 		pot[i] = 0
 	}
 	st.AddBias(pot)
-	plan := m.stagePlan(si)
+	ss := &m.scatters()[si]
 
 	// Bucket input spikes by arrival offset within the input window and
 	// tabulate the integration kernel and the threshold once (the LUTs
@@ -324,11 +296,7 @@ func (m *Model) runHiddenStage(sc *InferScratch, st *snn.Stage, inK, outK kernel
 	buckets := sc.bucketizeInto(inTimes, m.T)
 	dec := sc.decode(inK, m.T)
 	thr := sc.thresholds(outK, m.T)
-	scatter := func(off int) {
-		for _, idx := range buckets[off] {
-			scatterPlanned(plan, st, idx, dec[off], pot)
-		}
-	}
+	scatter := func(off int) { ss.scatter(buckets[off], dec[off], pot) }
 	var noisy func(f int) float64
 	if cfg.Faults.HasThresholdNoise() {
 		noisy = func(f int) float64 { return cfg.Faults.Threshold(si+1, f, thr[f]) }
@@ -372,7 +340,7 @@ func fireSweep[A float64 | int32](pot, thr, dec []A, buckets [][]int, outTimes [
 			}
 			theta := noisy(f)
 			for j, u := range pot {
-				if outTimes[j] < 0 && u >= theta {
+				if u >= theta && outTimes[j] < 0 {
 					outTimes[j] = f
 					fired++
 				}
@@ -395,7 +363,7 @@ func fireSweep[A float64 | int32](pot, thr, dec []A, buckets [][]int, outTimes [
 		}
 		last := thr[f1-1]
 		for j, u := range pot {
-			if outTimes[j] < 0 && u >= last {
+			if u >= last && outTimes[j] < 0 {
 				lo, hi := f, f1-1 // invariant: u ≥ thr[hi]
 				for lo < hi {
 					if mid := int(uint(lo+hi) >> 1); u >= thr[mid] {
@@ -438,15 +406,13 @@ func (m *Model) commitBoundary(res *Result, b int, outTimes []int, fired, adv in
 func (m *Model) runOutputStage(sc *InferScratch, st *snn.Stage, si int, inK kernel.Kernel, inTimes []int, windowStart int, cfg RunConfig, res *Result) {
 	pot := sc.floats.take(st.OutLen)
 	st.AddBias(pot)
-	plan := m.stagePlan(si)
+	ss := &m.scatters()[si]
 	buckets := sc.bucketizeInto(inTimes, m.T)
 	dec := sc.decode(inK, m.T)
 
 	for off := 0; off < m.T; off++ {
 		if len(buckets[off]) > 0 {
-			for _, idx := range buckets[off] {
-				scatterPlanned(plan, st, idx, dec[off], pot)
-			}
+			ss.scatter(buckets[off], dec[off], pot)
 			if cfg.CollectTimeline {
 				res.record(windowStart+off, pot)
 			}

@@ -240,18 +240,48 @@ func (s *Stream) Delay(b, n, t int) int {
 // noise, θ' = θ·(1 + σ·N(0,1)), floored at a small positive fraction of
 // θ so a threshold never becomes free (or negative).
 func (s *Stream) Threshold(b, t int, theta float64) float64 {
-	if s == nil || s.j.cfg.ThresholdNoise <= 0 {
+	return s.ThresholdDraw(b, t).Apply(theta)
+}
+
+// ThresholdDraw is the threshold noise of one fire boundary at one step.
+// The Gaussian draw depends only on (boundary, step), never on the
+// neuron or θ, so a clocked loop takes it once per boundary and step and
+// applies it to every neuron: s.ThresholdDraw(b, t).Apply(θ) is
+// s.Threshold(b, t, θ), bit for bit.
+type ThresholdDraw struct {
+	factor float64 // 1 + σ·N(0,1)
+	on     bool
+}
+
+// ThresholdDraw returns the threshold noise of boundary b at step t
+// (none when the stream has no threshold noise).
+func (s *Stream) ThresholdDraw(b, t int) ThresholdDraw {
+	if !s.HasThresholdNoise() {
+		return ThresholdDraw{}
+	}
+	return ThresholdDraw{factor: s.thresholdFactor(b, t), on: true}
+}
+
+// Apply perturbs θ with the draw (see Threshold).
+func (d ThresholdDraw) Apply(theta float64) float64 {
+	if !d.on {
 		return theta
 	}
-	// Box-Muller from two independent hash draws; u1 nudged away from 0.
-	u1 := hashUniform(s.j.cfg.Seed, domThreshA, s.sample, uint64(b), 0, uint64(t))
-	u2 := hashUniform(s.j.cfg.Seed, domThreshB, s.sample, uint64(b), 0, uint64(t))
-	norm := math.Sqrt(-2*math.Log(1-u1)) * math.Cos(2*math.Pi*u2)
-	scaled := theta * (1 + s.j.cfg.ThresholdNoise*norm)
+	scaled := theta * d.factor
 	if floor := 0.01 * theta; scaled < floor {
 		return floor
 	}
 	return scaled
+}
+
+// thresholdFactor is the multiplicative noise factor 1 + σ·N(0,1) of
+// boundary b at step t: Box–Muller from two independent hash draws, u1
+// nudged away from 0.
+func (s *Stream) thresholdFactor(b, t int) float64 {
+	u1 := hashUniform(s.j.cfg.Seed, domThreshA, s.sample, uint64(b), 0, uint64(t))
+	u2 := hashUniform(s.j.cfg.Seed, domThreshB, s.sample, uint64(b), 0, uint64(t))
+	norm := math.Sqrt(-2*math.Log(1-u1)) * math.Cos(2*math.Pi*u2)
+	return 1 + s.j.cfg.ThresholdNoise*norm
 }
 
 // HasThresholdNoise reports whether the stream perturbs firing-threshold

@@ -192,6 +192,45 @@ func TestThresholdNoiseStaysPositive(t *testing.T) {
 	}
 }
 
+// Threshold's values are pinned to the bits the per-call Box–Muller
+// formula produced before the draw moved into ThresholdDraw (one case
+// hits the 0.01·θ floor), and a draw taken once per (boundary, step)
+// must perturb every θ exactly as Threshold does. Streams without
+// threshold noise leave θ untouched.
+func TestThresholdDrawMatchesThreshold(t *testing.T) {
+	s := mustNew(t, Config{Seed: 36, ThresholdNoise: 0.5}).Sample(3)
+	for _, c := range []struct {
+		b, t  int
+		theta float64
+		bits  uint64
+	}{
+		{1, 0, 1, 0x3ff4118e79499afc},
+		{1, 7, 0.25, 0x3fdab64cc2d3e83e},
+		{2, 19, 3.5, 0x3ff582b4575883da},
+		{3, 4, 0.001, 0x3f5d4e5857bca72c},
+		{1, 5, 2, 0x3f947ae147ae147b}, // floored: 0.01·θ
+	} {
+		if got := math.Float64bits(s.Threshold(c.b, c.t, c.theta)); got != c.bits {
+			t.Fatalf("Threshold(%d, %d, %v) bits %#x, want %#x", c.b, c.t, c.theta, got, c.bits)
+		}
+		d := s.ThresholdDraw(c.b, c.t)
+		for _, theta := range []float64{c.theta, 0.3, 7} {
+			if got, want := d.Apply(theta), s.Threshold(c.b, c.t, theta); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("draw(%d, %d).Apply(%v) = %v, Threshold %v", c.b, c.t, theta, got, want)
+			}
+		}
+	}
+	var nilStream *Stream
+	quiet := mustNew(t, Config{Seed: 36, Drop: 0.5}).Sample(3)
+	for _, st := range []*Stream{nilStream, quiet} {
+		for _, theta := range []float64{-1, 0, 0.5} {
+			if got := st.ThresholdDraw(1, 2).Apply(theta); got != theta {
+				t.Fatalf("noiseless draw moved θ=%v to %v", theta, got)
+			}
+		}
+	}
+}
+
 func TestApplyTTFSSemantics(t *testing.T) {
 	// Drop = 1 wipes every live spike.
 	j := mustNew(t, Config{Seed: 1, Drop: 1})

@@ -108,22 +108,23 @@ func TestSoAPlanWeightsMatchQuantize(t *testing.T) {
 	p := snn.NewSoAPlan(&st, step, maxQ)
 
 	for key := 0; key < st.NumRowKeys(); key++ {
-		full := st.AppendContribs(key, nil)
 		ix, ws := p.Row(key)
 		pos := 0
-		for _, c := range full {
-			want := f.Quantize(c.W)
+		// The stage has no pool, so key is the input index and a unit
+		// scale visits the raw weights.
+		st.ScatterVisit(key, 1, func(j int, w float64) {
+			want := f.Quantize(w)
 			if want == 0 {
-				continue // dropped from the plan
+				return // dropped from the plan
 			}
-			if pos >= len(ix) || ix[pos] != c.J {
-				t.Fatalf("key %d: plan misses synapse -> %d", key, c.J)
+			if pos >= len(ix) || int(ix[pos]) != j {
+				t.Fatalf("key %d: plan misses synapse -> %d", key, j)
 			}
 			if got := float64(ws[pos]) * step; got != want {
-				t.Fatalf("key %d synapse %d: plan weight %v, Quantize %v", key, c.J, got, want)
+				t.Fatalf("key %d synapse %d: plan weight %v, Quantize %v", key, j, got, want)
 			}
 			pos++
-		}
+		})
 	}
 }
 

@@ -162,13 +162,12 @@ func (s *Server) Metrics() *Metrics { return s.met }
 
 // Warm runs one zero-sample batch directly on the engine, bypassing
 // the queue and the metrics: the first inference builds the model's
-// scatter plan and sizes a pooled scratch, costs that should land here
+// scatter tables and sizes a pooled scratch, costs that should land here
 // rather than on the first user request's latency.
 func (s *Server) Warm() {
 	s.eng.InferBatch([][]float64{make([]float64, s.eng.InLen())}, []int{-1})
 	if s.single != nil {
-		// The direct path has its own pooled scratch (and, for the event
-		// engine, the early-exit bound tables) to build.
+		// The direct path has its own pooled scratch to build.
 		s.single.InferOne(make([]float64, s.eng.InLen()), -1)
 	}
 }

@@ -224,7 +224,9 @@ func (s *Stage) Scatter(idx int, scale float64, potentials []float64) {
 
 // ScatterVisit is Scatter with an explicit visitor: visit(j, contrib) is
 // invoked once per driven synapse with the weighted contribution, in
-// the visit order Scatter and the cached scatter plans replay.
+// the order Scatter accumulates them (kh → kw → oc for convolutions,
+// ascending output index for dense stages). No output index repeats
+// within one call.
 func (s *Stage) ScatterVisit(idx int, scale float64, visit func(j int, contrib float64)) {
 	if s.PrePool != nil {
 		p := s.PrePool
@@ -295,9 +297,9 @@ func (s *Stage) FanOut(idx int) int {
 }
 
 // RowLen returns the number of synapses in the scatter row of a RowKey
-// (the post-pool input index): exactly how many entries AppendContribs
-// emits for that key, so plan builders can preallocate rows instead of
-// growing them append by append.
+// (the post-pool input index): exactly how many synapses Scatter drives
+// for an input in that row, so plan builders can preallocate rows
+// instead of growing them append by append.
 func (s *Stage) RowLen(key int) int {
 	idx := key
 	switch s.Kind {
@@ -323,4 +325,30 @@ func (s *Stage) RowLen(key int) int {
 	default:
 		return s.OutLen
 	}
+}
+
+// RowKey maps a (pre-pool) input index to the key identifying its
+// scatter row and the pool divisor applied to the per-spike scale.
+// Neurons sharing a pooled cell share the same row, so the engines'
+// scatter tables (SoAPlan, and the float engines' tables in
+// internal/core) index rows by key rather than by raw input index.
+func (s *Stage) RowKey(idx int) (key int, scaleDiv float64) {
+	if s.PrePool == nil {
+		return idx, 1
+	}
+	p := s.PrePool
+	c := idx / (p.InH * p.InW)
+	rem := idx % (p.InH * p.InW)
+	y, x := rem/p.InW, rem%p.InW
+	return (c*p.OutH()+y/p.K)*p.OutW() + x/p.K, float64(p.K * p.K)
+}
+
+// NumRowKeys returns the size of the RowKey space (the post-pool input
+// length), for sizing per-row tables.
+func (s *Stage) NumRowKeys() int {
+	if s.PrePool == nil {
+		return s.InLen
+	}
+	p := s.PrePool
+	return p.C * p.OutH() * p.OutW()
 }

@@ -13,9 +13,8 @@ func FixedRound(x float64) float64 { return math.Round(x) }
 // SoAPlan is a stage's full scatter table in structure-of-arrays form
 // for the fixed-point engine: all rows concatenated into one contiguous
 // int32 index slice and one int8 quantized-weight slice, with Off
-// marking row boundaries (row of key k is Idx[Off[k]:Off[k+1]]). The
-// layout replaces ScatterPlan's 16-byte Contrib pairs with 5 bytes per
-// synapse, which is the real speedup lever on this memory-bound loop.
+// marking row boundaries (row of key k is Idx[Off[k]:Off[k+1]]), 5 bytes
+// per synapse.
 //
 // Weights are quantized as wq = clamp(FixedRound(w/Step), ±MaxQ), i.e.
 // w ≈ wq·Step. Synapses whose weight quantizes to zero are dropped at

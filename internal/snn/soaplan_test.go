@@ -1,7 +1,6 @@
 package snn
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -28,9 +27,25 @@ func TestFixedRoundHalfAwayFromZero(t *testing.T) {
 	}
 }
 
-// RowLen must predict exactly how many entries AppendContribs emits for
-// every key — it is the preallocation contract of ScatterPlan.Row and
-// the sizing pass of NewSoAPlan.
+// synapse is one entry of a scatter row: a spike on the row drives
+// output J with weight W (times its scale).
+type synapse struct {
+	J int32
+	W float64
+}
+
+// scatterRow collects the synapses of one RowKey's row in the order
+// Scatter visits them.
+func scatterRow(st *Stage, key int) []synapse {
+	var row []synapse
+	st.scatterCore(key, 1, func(j int, w float64) {
+		row = append(row, synapse{J: int32(j), W: w})
+	})
+	return row
+}
+
+// RowLen must predict exactly how many synapses a row drives for every
+// key — it sizes NewSoAPlan and is FanOut's op count.
 func TestRowLenMatchesAppendContribs(t *testing.T) {
 	for name, st := range map[string]Stage{
 		"conv":   convStage(false),
@@ -38,81 +53,9 @@ func TestRowLenMatchesAppendContribs(t *testing.T) {
 		"dense":  denseStage(7, 5, true),
 	} {
 		for key := 0; key < st.NumRowKeys(); key++ {
-			row := st.AppendContribs(key, nil)
+			row := scatterRow(&st, key)
 			if got := st.RowLen(key); got != len(row) {
-				t.Fatalf("%s key %d: RowLen = %d, AppendContribs emits %d", name, key, got, len(row))
-			}
-		}
-	}
-}
-
-// Regression (PR 8): ScatterPlan.Row used to build rows by appending to
-// a zero-capacity slice, re-growing during plan build and leaving the
-// cached row with slack capacity. The fixed build preallocates from
-// Stage.RowLen, so a cached row's capacity equals its length exactly.
-func TestScatterPlanRowPreallocated(t *testing.T) {
-	for name, st := range map[string]Stage{
-		"conv":  convStage(false),
-		"dense": denseStage(6, 5, true), // 5 is not an append growth size
-	} {
-		st := st
-		plan := NewScatterPlan(&st)
-		for key := 0; key < st.NumRowKeys(); key++ {
-			row := plan.Row(key)
-			if len(row) == 0 {
-				continue
-			}
-			if cap(row) != len(row) {
-				t.Fatalf("%s key %d: row len %d cap %d — built without preallocation",
-					name, key, len(row), cap(row))
-			}
-		}
-	}
-}
-
-// Published rows must never mutate: concurrent readers (the serve-layer
-// engines share one plan across goroutines) rely on a row being
-// write-once. Run under -race this also catches unsynchronized writes.
-func TestScatterPlanRowImmutableUnderRace(t *testing.T) {
-	st := convStage(false)
-	plan := NewScatterPlan(&st)
-
-	// Snapshot rows from one goroutine while others race to build them.
-	var wg sync.WaitGroup
-	snaps := make([][][]Contrib, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			snap := make([][]Contrib, st.NumRowKeys())
-			for key := 0; key < st.NumRowKeys(); key++ {
-				row := plan.Row(key)
-				snap[key] = append([]Contrib(nil), row...)
-			}
-			snaps[g] = snap
-		}(g)
-	}
-	wg.Wait()
-
-	// Every goroutine must have observed identical row contents, and the
-	// now-cached rows must still match the snapshots.
-	for key := 0; key < st.NumRowKeys(); key++ {
-		want := st.AppendContribs(key, nil)
-		for g := range snaps {
-			got := snaps[g][key]
-			if len(got) != len(want) {
-				t.Fatalf("goroutine %d key %d: %d contribs, want %d", g, key, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("goroutine %d key %d[%d]: %+v, want %+v", g, key, i, got[i], want[i])
-				}
-			}
-		}
-		cached := plan.Row(key)
-		for i := range want {
-			if cached[i] != want[i] {
-				t.Fatalf("cached row %d mutated after publication: %+v != %+v", key, cached[i], want[i])
+				t.Fatalf("%s key %d: RowLen = %d, row has %d synapses", name, key, got, len(row))
 			}
 		}
 	}
@@ -148,7 +91,7 @@ func TestSoAPlanMatchesScatterRows(t *testing.T) {
 
 		total, inDeg := 0, make(map[int32]int)
 		for key := 0; key < st.NumRowKeys(); key++ {
-			full := st.AppendContribs(key, nil)
+			full := scatterRow(&st, key)
 			total += len(full)
 			ix, ws := p.Row(key)
 			pos := 0

@@ -32,7 +32,11 @@ GMP="${GOMAXPROCS:-$(nproc)}"
 # mux + negotiation + decode + direct inference + encode, JSON vs
 # binary wire formats. BenchmarkSchemeRun (internal/coding) times the
 # rate, Poisson-rate, phase and burst baseline codings.
-PATTERN='BenchmarkInfer$|BenchmarkInferBatch$|BenchmarkInferBatchParallel$|BenchmarkInferEventEarlyExit$|BenchmarkInferQuant$|BenchmarkServeE2E$|BenchmarkSchemeRun$'
+# BenchmarkInferServed (internal/core) times the clocked, early-exit and
+# quant engines on the geometry snnserve serves by default (28×28
+# LeNet, T=20, early firing at T/2); the other core benchmarks use a
+# 16×16 fixture at T=80.
+PATTERN='BenchmarkInfer$|BenchmarkInferBatch$|BenchmarkInferBatchParallel$|BenchmarkInferEventEarlyExit$|BenchmarkInferQuant$|BenchmarkInferServed$|BenchmarkServeE2E$|BenchmarkSchemeRun$'
 PKG="./internal/core/ ./internal/serve/ ./internal/coding/"
 
 if [[ $SMOKE -eq 1 ]]; then
