@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test fmt-check check bench-build bench bench-smoke bench-paper benchdiff faultbench serve-smoke gate-smoke stream-smoke quant-parity profile
+.PHONY: build test fmt-check check bench-build bench bench-smoke bench-paper benchdiff faultbench serve-smoke gate-smoke stream-smoke quant-parity fuzz-smoke profile
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,7 @@ check:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./...
+	$(MAKE) fuzz-smoke
 	$(MAKE) bench-build
 	$(MAKE) quant-parity
 	$(MAKE) serve-smoke
@@ -30,6 +31,13 @@ check:
 	$(MAKE) stream-smoke
 	$(MAKE) bench-smoke
 	bash scripts/benchdiff.sh --if-baseline
+
+# fuzz-smoke runs each native fuzz target for a few seconds beyond its
+# seed corpus: the one-pass /v1/infer JSON decoder against
+# encoding/json, and the TTFS kernel's encode/decode invariants.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzInferJSON$$' -fuzztime 5s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime 5s ./internal/kernel/
 
 # bench-build vets and tests the e2ebench module, which has its own
 # go.mod (so the root ./... skips it) and compiles against the serve and

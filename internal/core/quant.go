@@ -249,7 +249,7 @@ func (m *Model) runHiddenStageQuant(sc *InferScratch, qs *quantStage, st *snn.St
 			return clampQ(cfg.Faults.Threshold(si+1, f, outK.Threshold(float64(f))) * unitInv)
 		}
 	}
-	fired := fireSweep(acc, qthr, qdec, buckets, outTimes, adv, scatter, noisy)
+	fired := fireSweep(acc, qthr, qdec, math.MinInt32, buckets, outTimes, adv, scatter, noisy)
 	m.commitBoundary(res, si+1, outTimes, fired, adv, cfg)
 }
 

@@ -163,8 +163,8 @@ func nil2model(t *testing.T, net *snn.Net) *Model {
 }
 
 // TestInferWithZeroAllocs gates the tentpole claim: once the scratch and
-// the model's scatter plan are warm, the single-sample hot path performs
-// zero heap allocations.
+// the model's scatter tables are warm, the single-sample hot path
+// performs zero heap allocations.
 func TestInferWithZeroAllocs(t *testing.T) {
 	loadFixture(t)
 	m := fixture.model()
@@ -172,7 +172,7 @@ func TestInferWithZeroAllocs(t *testing.T) {
 	in := fixture.x.Data[:256]
 	for _, cfg := range []RunConfig{{}, {EarlyFire: true}} {
 		cfg := cfg
-		m.InferOne(in, cfg, InferOpts{Scratch: sc}) // warm plan + arenas
+		m.InferOne(in, cfg, InferOpts{Scratch: sc}) // warm tables + arenas
 		if n := testing.AllocsPerRun(20, func() { m.InferOne(in, cfg, InferOpts{Scratch: sc}) }); n != 0 {
 			t.Errorf("InferOne with scratch (earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
 		}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/fault"
@@ -301,7 +302,7 @@ func (m *Model) runHiddenStage(sc *InferScratch, st *snn.Stage, inK, outK kernel
 	if cfg.Faults.HasThresholdNoise() {
 		noisy = func(f int) float64 { return cfg.Faults.Threshold(si+1, f, thr[f]) }
 	}
-	fired := fireSweep(pot, thr, dec, buckets, outTimes, adv, scatter, noisy)
+	fired := fireSweep(pot, thr, dec, math.Inf(-1), buckets, outTimes, adv, scatter, noisy)
 	m.commitBoundary(res, si+1, outTimes, fired, adv, cfg)
 }
 
@@ -315,6 +316,13 @@ func (m *Model) runHiddenStage(sc *InferScratch, st *snn.Stage, inK, outK kernel
 // before that step's threshold test. A neuron that has fired ignores
 // later arrivals (refractory; non-guaranteed integration, §III-C).
 //
+// spent is a value no threshold test passes (-Inf for float64,
+// MinInt32 for int32): a neuron's potential is set to it when the
+// neuron fires, so later sweeps fail its u ≥ θ test without loading
+// outTimes. Hidden potentials are never read after the sweep, so this
+// changes no spike time. The outTimes[j] < 0 guard stays, because
+// int32 arrivals may wrap a spent accumulator back above θ.
+//
 // thr[f] is θ(f) = θ₀·ε(f) on the accumulator grid, and it only falls.
 // Within a run of steps that no arrival touches the potentials are
 // constant, so a neuron tested once against the run's last (lowest)
@@ -324,7 +332,7 @@ func (m *Model) runHiddenStage(sc *InferScratch, st *snn.Stage, inK, outK kernel
 // whole window is one run. noisy, when set, perturbs θ(f) per step
 // (threshold-noise faults), which breaks the monotonicity, so every
 // unfired neuron is then tested at every step against noisy(f).
-func fireSweep[A float64 | int32](pot, thr, dec []A, buckets [][]int, outTimes []int, adv int, scatter func(off int), noisy func(f int) A) int {
+func fireSweep[A float64 | int32](pot, thr, dec []A, spent A, buckets [][]int, outTimes []int, adv int, scatter func(off int), noisy func(f int) A) int {
 	t := len(thr)
 	for off := 0; off < adv && off < t; off++ {
 		scatter(off)
@@ -342,6 +350,7 @@ func fireSweep[A float64 | int32](pot, thr, dec []A, buckets [][]int, outTimes [
 			for j, u := range pot {
 				if u >= theta && outTimes[j] < 0 {
 					outTimes[j] = f
+					pot[j] = spent
 					fired++
 				}
 			}
@@ -373,6 +382,7 @@ func fireSweep[A float64 | int32](pot, thr, dec []A, buckets [][]int, outTimes [
 					}
 				}
 				outTimes[j] = lo
+				pot[j] = spent
 				fired++
 			}
 		}

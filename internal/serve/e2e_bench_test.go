@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"testing"
 
@@ -67,29 +66,23 @@ func (w *benchResponseWriter) Write(p []byte) (int, error) {
 // negotiation, body decode, direct inference, response encode) without
 // real sockets, comparing the JSON and binary wire formats. The
 // request/response plumbing is reused across iterations so allocs/op
-// isolates the per-request cost of the handler itself.
+// isolates the per-request cost of the handler itself. The in784 case
+// is the served shape: a 28×28 image of k/255 pixels, whose JSON body
+// carries the shortest round-trip floats, up to 17 digits, that a real
+// client sends.
 func BenchmarkServeE2E(b *testing.B) {
-	const inLen = 256
-	eng := &benchEngine{inLen: inLen, classes: 10}
-	reg := NewRegistry(RegistryOptions{})
-	defer reg.Close()
-	// Batching off: requests route direct.
-	if _, err := reg.Add("m", eng, Options{MaxBatch: 1}); err != nil {
-		b.Fatal(err)
+	handler := func(b *testing.B, inLen int) http.Handler {
+		reg := NewRegistry(RegistryOptions{})
+		b.Cleanup(reg.Close)
+		// Batching off: requests route direct.
+		if _, err := reg.Add("m", &benchEngine{inLen: inLen, classes: 10}, Options{MaxBatch: 1}); err != nil {
+			b.Fatal(err)
+		}
+		return reg.Handler()
 	}
-	h := reg.Handler()
 
-	input := make([]float64, inLen)
-	for i := range input {
-		input[i] = float64(i%17) / 17
-	}
-	jsonBody, err := json.Marshal(InferRequest{Input: input})
-	if err != nil {
-		b.Fatal(err)
-	}
-	binBody := wire.AppendRequest(nil, wire.Request{Lane: wire.LaneF32, Sample: -1, Label: -1}, input)
-
-	run := func(b *testing.B, body []byte, contentType string) {
+	run := func(b *testing.B, inLen int, body []byte, contentType string) {
+		h := handler(b, inLen)
 		rd := bytes.NewReader(body)
 		req, err := http.NewRequest(http.MethodPost, "/v1/infer", nil)
 		if err != nil {
@@ -115,7 +108,25 @@ func BenchmarkServeE2E(b *testing.B) {
 			}
 		}
 	}
+	jsonBody := func(b *testing.B, input []float64) []byte {
+		body, err := json.Marshal(InferRequest{Input: input})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return body
+	}
 
-	b.Run(fmt.Sprintf("json/in%d", inLen), func(b *testing.B) { run(b, jsonBody, "application/json") })
-	b.Run(fmt.Sprintf("binary/in%d", inLen), func(b *testing.B) { run(b, binBody, wire.ContentType) })
+	in256 := make([]float64, 256)
+	for i := range in256 {
+		in256[i] = float64(i%17) / 17
+	}
+	binBody := wire.AppendRequest(nil, wire.Request{Lane: wire.LaneF32, Sample: -1, Label: -1}, in256)
+	in784 := make([]float64, 784)
+	for i := range in784 {
+		in784[i] = float64(i*37%256) / 255
+	}
+
+	b.Run("json/in256", func(b *testing.B) { run(b, 256, jsonBody(b, in256), "application/json") })
+	b.Run("binary/in256", func(b *testing.B) { run(b, 256, binBody, wire.ContentType) })
+	b.Run("json/in784", func(b *testing.B) { run(b, 784, jsonBody(b, in784), "application/json") })
 }

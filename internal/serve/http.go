@@ -84,6 +84,13 @@ type inferReq struct {
 	sampleV, labelV int
 }
 
+// resetJSON points the JSON decode target at a clean state: no fields
+// seen, the sentinels in place, and Input empty on in's backing array.
+func (ir *inferReq) resetJSON(in []float64) {
+	ir.sampleV, ir.labelV = -1, -1
+	ir.js = InferRequest{Input: in[:0], Sample: &ir.sampleV, Label: &ir.labelV}
+}
+
 var inferReqPool = sync.Pool{New: func() any { return new(inferReq) }}
 
 func putInferReq(ir *inferReq) { inferReqPool.Put(ir) }
@@ -166,19 +173,23 @@ func decodeInferRequest(w http.ResponseWriter, r *http.Request, srv *Server) (*i
 		return ir, true
 	}
 
-	// JSON path: unmarshal into the pooled decode target. Input keeps
-	// its backing array, and the pointer fields decode into pooled ints
-	// preloaded with the "absent" sentinel.
+	// JSON path: decode into the pooled decode target. Input keeps its
+	// backing array, and the pointer fields decode into pooled ints
+	// preloaded with the "absent" sentinel. Canonical bodies take the
+	// one-pass decoder; any other body is reset to that clean target
+	// and goes to json.Unmarshal, which owns every error message.
 	ir.wire = false
-	ir.sampleV, ir.labelV = -1, -1
-	ir.js = InferRequest{Input: ir.input[:0], Sample: &ir.sampleV, Label: &ir.labelV}
-	if err := json.Unmarshal(body, &ir.js); err != nil {
-		ir.input = ir.js.Input
-		putInferReq(ir)
-		// json.Unmarshal also rejects trailing data after the top-level
-		// value — a concatenated or mis-framed body we likely mis-read.
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return nil, false
+	ir.resetJSON(ir.input)
+	if !decodeInferJSON(body, &ir.js) {
+		ir.resetJSON(ir.js.Input)
+		if err := json.Unmarshal(body, &ir.js); err != nil {
+			ir.input = ir.js.Input
+			putInferReq(ir)
+			// json.Unmarshal also rejects trailing data after the top-level
+			// value — a concatenated or mis-framed body we likely mis-read.
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+			return nil, false
+		}
 	}
 	ir.input = ir.js.Input
 	if len(ir.input) != srv.eng.InLen() {
