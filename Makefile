@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test fmt-check check bench-build bench bench-smoke bench-paper benchdiff faultbench serve-smoke gate-smoke stream-smoke quant-parity fuzz-smoke profile
+.PHONY: build test fmt-check cross-vet check bench-build bench bench-smoke bench-paper benchdiff faultbench serve-smoke gate-smoke stream-smoke quant-parity fuzz-smoke profile
 
 build:
 	$(GO) build ./...
@@ -15,13 +15,21 @@ fmt-check:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
 
-# check is the tier-1 verification gate: formatting, static analysis,
-# then the full suite under the race detector (Evaluate fans samples
-# across workers). The simulation-heavy experiments package needs more
-# than go test's default 10m deadline under -race.
+# cross-vet type-checks and vets the tree for arm64, so the portable
+# build of internal/core (the Go twins of its amd64 AVX kernels, behind
+# build tags) keeps compiling on a host that never runs it.
+cross-vet:
+	GOARCH=arm64 $(GO) vet ./...
+
+# check is the tier-1 verification gate: formatting, static analysis
+# (native and cross-built), then the full suite under the race detector
+# (Evaluate fans samples across workers). The simulation-heavy
+# experiments package needs more than go test's default 10m deadline
+# under -race.
 check:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
+	$(MAKE) cross-vet
 	$(GO) test -race -timeout 45m ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-build
@@ -34,10 +42,12 @@ check:
 
 # fuzz-smoke runs each native fuzz target for a few seconds beyond its
 # seed corpus: the one-pass /v1/infer JSON decoder against
-# encoding/json, and the TTFS kernel's encode/decode invariants.
+# encoding/json, the TTFS kernel's encode/decode invariants, and core's
+# AVX scatter and fire-scan kernels against their Go twins.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzInferJSON$$' -fuzztime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime 5s ./internal/kernel/
+	$(GO) test -run '^$$' -fuzz '^FuzzScatterKernels$$' -fuzztime 5s ./internal/core/
 
 # bench-build vets and tests the e2ebench module, which has its own
 # go.mod (so the root ./... skips it) and compiles against the serve and

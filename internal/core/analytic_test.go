@@ -12,14 +12,16 @@ import (
 // the central equivalence between Eq. 7's closed form and the dynamic-
 // threshold clock of Eq. 6.
 func TestEnginesAgreeOnFixture(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	for i := 0; i < 25; i++ {
-		in := fixture.x.Data[i*256 : (i+1)*256]
-		if err := verifyEngines(m, in); err != nil {
-			t.Fatalf("sample %d: %v", i, err)
+	eachKernel(t, func() {
+		loadFixture(t)
+		m := fixture.model()
+		for i := 0; i < 25; i++ {
+			in := fixture.x.Data[i*256 : (i+1)*256]
+			if err := verifyEngines(m, in); err != nil {
+				t.Fatalf("sample %d: %v", i, err)
+			}
 		}
-	}
+	})
 }
 
 // Property: engine equivalence holds for random kernels and inputs on

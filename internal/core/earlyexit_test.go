@@ -16,45 +16,47 @@ import (
 // something — at least some samples actually exit early with steps and
 // events saved.
 func TestEarlyExitArgmaxMatchesFixture(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	sc := NewInferScratch(m)
-	n := fixture.x.Shape[0]
-	for _, base := range []RunConfig{{}, {EarlyFire: true}} {
-		exits, stepsSaved, eventsSaved := 0, 0, 0
-		for i := 0; i < n; i++ {
-			in := fixture.x.Data[i*256 : (i+1)*256]
-			clocked := m.InferOne(in, base, InferOpts{})
-			cfg := base
-			cfg.EarlyExit = true
-			ev := m.InferOne(in, cfg, InferOpts{Scratch: sc, Engine: EngineEvent})
-			if ev.Pred != clocked.Pred {
-				t.Fatalf("ef=%v sample %d: early exit changed prediction: %d vs clocked %d",
-					base.EarlyFire, i, ev.Pred, clocked.Pred)
+	eachKernel(t, func() {
+		loadFixture(t)
+		m := fixture.model()
+		sc := NewInferScratch(m)
+		n := fixture.x.Shape[0]
+		for _, base := range []RunConfig{{}, {EarlyFire: true}} {
+			exits, stepsSaved, eventsSaved := 0, 0, 0
+			for i := 0; i < n; i++ {
+				in := fixture.x.Data[i*256 : (i+1)*256]
+				clocked := m.InferOne(in, base, InferOpts{})
+				cfg := base
+				cfg.EarlyExit = true
+				ev := m.InferOne(in, cfg, InferOpts{Scratch: sc, Engine: EngineEvent})
+				if ev.Pred != clocked.Pred {
+					t.Fatalf("ef=%v sample %d: early exit changed prediction: %d vs clocked %d",
+						base.EarlyFire, i, ev.Pred, clocked.Pred)
+				}
+				if ev.Latency > clocked.Latency {
+					t.Fatalf("ef=%v sample %d: early-exit latency %d exceeds clocked %d",
+						base.EarlyFire, i, ev.Latency, clocked.Latency)
+				}
+				if !ev.EarlyExit && (ev.StepsSaved != 0 || ev.EventsSaved != 0) {
+					t.Fatalf("ef=%v sample %d: savings %d/%d reported without an exit",
+						base.EarlyFire, i, ev.StepsSaved, ev.EventsSaved)
+				}
+				if ev.EarlyExit {
+					exits++
+					stepsSaved += ev.StepsSaved
+					eventsSaved += ev.EventsSaved
+				}
 			}
-			if ev.Latency > clocked.Latency {
-				t.Fatalf("ef=%v sample %d: early-exit latency %d exceeds clocked %d",
-					base.EarlyFire, i, ev.Latency, clocked.Latency)
+			if exits == 0 {
+				t.Fatalf("ef=%v: no sample exited early across %d samples", base.EarlyFire, n)
 			}
-			if !ev.EarlyExit && (ev.StepsSaved != 0 || ev.EventsSaved != 0) {
-				t.Fatalf("ef=%v sample %d: savings %d/%d reported without an exit",
-					base.EarlyFire, i, ev.StepsSaved, ev.EventsSaved)
+			if stepsSaved == 0 {
+				t.Fatalf("ef=%v: %d exits saved zero steps", base.EarlyFire, exits)
 			}
-			if ev.EarlyExit {
-				exits++
-				stepsSaved += ev.StepsSaved
-				eventsSaved += ev.EventsSaved
-			}
+			t.Logf("ef=%v: %d/%d early exits, %d steps and %d events saved",
+				base.EarlyFire, exits, n, stepsSaved, eventsSaved)
 		}
-		if exits == 0 {
-			t.Fatalf("ef=%v: no sample exited early across %d samples", base.EarlyFire, n)
-		}
-		if stepsSaved == 0 {
-			t.Fatalf("ef=%v: %d exits saved zero steps", base.EarlyFire, exits)
-		}
-		t.Logf("ef=%v: %d/%d early exits, %d steps and %d events saved",
-			base.EarlyFire, exits, n, stepsSaved, eventsSaved)
-	}
+	})
 }
 
 // Property: the argmax contract holds across random kernels, horizons,
@@ -126,18 +128,20 @@ func TestEarlyExitUnderFaults(t *testing.T) {
 // TestEarlyExitZeroAllocs gates the serving claim: the early-exit event
 // path on a warm scratch allocates nothing per call.
 func TestEarlyExitZeroAllocs(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	sc := NewInferScratch(m)
-	in := fixture.x.Data[:256]
-	for _, cfg := range []RunConfig{{EarlyExit: true}, {EarlyFire: true, EarlyExit: true}} {
-		cfg := cfg
-		opts := InferOpts{Scratch: sc, Engine: EngineEvent}
-		m.InferOne(in, cfg, opts) // warm plan + arenas + bound tables
-		if n := testing.AllocsPerRun(20, func() { m.InferOne(in, cfg, opts) }); n != 0 {
-			t.Errorf("event early exit (earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
+	eachKernel(t, func() {
+		loadFixture(t)
+		m := fixture.model()
+		sc := NewInferScratch(m)
+		in := fixture.x.Data[:256]
+		for _, cfg := range []RunConfig{{EarlyExit: true}, {EarlyFire: true, EarlyExit: true}} {
+			cfg := cfg
+			opts := InferOpts{Scratch: sc, Engine: EngineEvent}
+			m.InferOne(in, cfg, opts) // warm plan + arenas + bound tables
+			if n := testing.AllocsPerRun(20, func() { m.InferOne(in, cfg, opts) }); n != 0 {
+				t.Errorf("event early exit (earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
+			}
 		}
-	}
+	})
 }
 
 // TestInferManyEventMatchesInferOne pins the event engine's batch

@@ -28,15 +28,17 @@ func TestInferEventWithMatchesFresh(t *testing.T) {
 // TestInferEventWithZeroAllocs gates the ROADMAP item: the event engine
 // with a warm scratch allocates nothing per call.
 func TestInferEventWithZeroAllocs(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	sc := NewInferScratch(m)
-	in := fixture.x.Data[:256]
-	for _, cfg := range []RunConfig{{}, {EarlyFire: true}} {
-		cfg := cfg
-		m.InferOne(in, cfg, InferOpts{Scratch: sc, Engine: EngineEvent}) // warm plan + arenas + heap
-		if n := testing.AllocsPerRun(20, func() { m.InferOne(in, cfg, InferOpts{Scratch: sc, Engine: EngineEvent}) }); n != 0 {
-			t.Errorf("event InferOne with scratch (earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
+	eachKernel(t, func() {
+		loadFixture(t)
+		m := fixture.model()
+		sc := NewInferScratch(m)
+		in := fixture.x.Data[:256]
+		for _, cfg := range []RunConfig{{}, {EarlyFire: true}} {
+			cfg := cfg
+			m.InferOne(in, cfg, InferOpts{Scratch: sc, Engine: EngineEvent}) // warm plan + arenas + heap
+			if n := testing.AllocsPerRun(20, func() { m.InferOne(in, cfg, InferOpts{Scratch: sc, Engine: EngineEvent}) }); n != 0 {
+				t.Errorf("event InferOne with scratch (earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
+			}
 		}
-	}
+	})
 }

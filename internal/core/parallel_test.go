@@ -146,20 +146,22 @@ func TestInferBatchParallelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates on multi-goroutine paths")
 	}
-	loadFixture(t)
-	m := fixture.model()
-	p := NewPool(ParallelOpts{Workers: 4})
-	defer p.Close()
-	inputs, _ := parallelInputs(t, 32, nil)
-	cfg := RunConfig{EarlyFire: true}
-	scr := workerScratches(m, p, inputs, cfg)
-	run := pooledBatch(m, p, scr, inputs, cfg, nil, EngineClocked, func(int, Result) {})
-	for i := 0; i < 2; i++ { // start the workers
-		run()
-	}
-	if n := testing.AllocsPerRun(20, run); n != 0 {
-		t.Errorf("pooled batch loop allocates %.1f/op, want 0", n)
-	}
+	eachKernel(t, func() {
+		loadFixture(t)
+		m := fixture.model()
+		p := NewPool(ParallelOpts{Workers: 4})
+		defer p.Close()
+		inputs, _ := parallelInputs(t, 32, nil)
+		cfg := RunConfig{EarlyFire: true}
+		scr := workerScratches(m, p, inputs, cfg)
+		run := pooledBatch(m, p, scr, inputs, cfg, nil, EngineClocked, func(int, Result) {})
+		for i := 0; i < 2; i++ { // start the workers
+			run()
+		}
+		if n := testing.AllocsPerRun(20, run); n != 0 {
+			t.Errorf("pooled batch loop allocates %.1f/op, want 0", n)
+		}
+	})
 }
 
 // TestPoolEach checks coverage, worker-index bounds, the chunk counter,

@@ -136,16 +136,18 @@ func sameSpikes(engine string, got, want Result) error {
 // with) agrees with the literal reference spike for spike on the
 // trained fixture, for both pipelines.
 func TestEventEngineAgreesOnFixture(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	for i := 0; i < 20; i++ {
-		in := fixture.x.Data[i*256 : (i+1)*256]
-		for _, cfg := range []RunConfig{{}, {EarlyFire: true}} {
-			if err := checkReference(m, in, cfg); err != nil {
-				t.Fatalf("sample %d %+v: %v", i, cfg, err)
+	eachKernel(t, func() {
+		loadFixture(t)
+		m := fixture.model()
+		for i := 0; i < 20; i++ {
+			in := fixture.x.Data[i*256 : (i+1)*256]
+			for _, cfg := range []RunConfig{{}, {EarlyFire: true}} {
+				if err := checkReference(m, in, cfg); err != nil {
+					t.Fatalf("sample %d %+v: %v", i, cfg, err)
+				}
 			}
 		}
-	}
+	})
 }
 
 // An inhibitory arrival at the first step of a fire phase must cancel
@@ -154,81 +156,87 @@ func TestEventEngineAgreesOnFixture(t *testing.T) {
 // puts many arrivals inside the fire phase, so cancellations occur
 // naturally; agreement with the reference is the assertion.
 func TestEventEngineInhibitoryCancellation(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	for i := 20; i < 60; i++ {
-		in := fixture.x.Data[i*256 : (i+1)*256]
-		if err := checkReference(m, in, RunConfig{EarlyFire: true, EFStart: m.T / 4}); err != nil {
-			t.Fatalf("sample %d: %v", i, err)
+	eachKernel(t, func() {
+		loadFixture(t)
+		m := fixture.model()
+		for i := 20; i < 60; i++ {
+			in := fixture.x.Data[i*256 : (i+1)*256]
+			if err := checkReference(m, in, RunConfig{EarlyFire: true, EFStart: m.T / 4}); err != nil {
+				t.Fatalf("sample %d: %v", i, err)
+			}
 		}
-	}
+	})
 }
 
 // Property: the match holds across random kernels, horizons, inputs,
 // EF start times and fault streams on the handcrafted network, with
 // inhibitory weights that push potentials back below the threshold.
 func TestClockedMatchesReferenceProperty(t *testing.T) {
-	net := tinyNet()
-	net.Stages[0].W.Data[5] = -0.7
-	net.Stages[0].W.Data[9] = -0.4
-	f := func(seed uint64) bool {
-		r := tensor.NewRNG(seed)
-		m, err := NewModel(net, 10+r.Intn(50), r.Range(1, 12), r.Range(0, 2))
-		if err != nil {
-			return true
-		}
-		in := []float64{r.Float64(), r.Float64(), r.Float64()}
-		cfg := RunConfig{}
-		if r.Intn(2) == 0 {
-			cfg = RunConfig{EarlyFire: true, EFStart: 1 + r.Intn(m.T)}
-		}
-		if r.Intn(3) == 0 {
-			inj, err := fault.New(fault.Config{
-				Seed:           seed,
-				Drop:           r.Range(0, 0.3),
-				Jitter:         r.Intn(3),
-				StuckSilent:    r.Range(0, 0.1),
-				StuckFire:      r.Range(0, 0.05),
-				ThresholdNoise: r.Range(0, 0.1) * float64(r.Intn(2)),
-			})
+	eachKernel(t, func() {
+		net := tinyNet()
+		net.Stages[0].W.Data[5] = -0.7
+		net.Stages[0].W.Data[9] = -0.4
+		f := func(seed uint64) bool {
+			r := tensor.NewRNG(seed)
+			m, err := NewModel(net, 10+r.Intn(50), r.Range(1, 12), r.Range(0, 2))
 			if err != nil {
 				return true
 			}
-			cfg.Faults = inj.Sample(r.Intn(50))
+			in := []float64{r.Float64(), r.Float64(), r.Float64()}
+			cfg := RunConfig{}
+			if r.Intn(2) == 0 {
+				cfg = RunConfig{EarlyFire: true, EFStart: 1 + r.Intn(m.T)}
+			}
+			if r.Intn(3) == 0 {
+				inj, err := fault.New(fault.Config{
+					Seed:           seed,
+					Drop:           r.Range(0, 0.3),
+					Jitter:         r.Intn(3),
+					StuckSilent:    r.Range(0, 0.1),
+					StuckFire:      r.Range(0, 0.05),
+					ThresholdNoise: r.Range(0, 0.1) * float64(r.Intn(2)),
+				})
+				if err != nil {
+					return true
+				}
+				cfg.Faults = inj.Sample(r.Intn(50))
+			}
+			if err := checkReference(m, in, cfg); err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			return true
 		}
-		if err := checkReference(m, in, cfg); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatal(err)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // Fault streams — spike faults, threshold noise (the per-step sweep
 // path) and both together — keep the match on the fixture.
 func TestClockedMatchesReferenceUnderFaults(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	for name, fc := range map[string]fault.Config{
-		"spike-faults":    {Seed: 11, Drop: 0.2, Jitter: 2, StuckSilent: 0.05, StuckFire: 0.02},
-		"threshold-noise": {Seed: 5, ThresholdNoise: 0.1},
-		"everything":      {Seed: 17, Drop: 0.15, Jitter: 1, StuckSilent: 0.03, ThresholdNoise: 0.05},
-	} {
-		inj, err := fault.New(fc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 15; i++ {
-			in := fixture.x.Data[i*256 : (i+1)*256]
-			for _, cfg := range []RunConfig{{}, {EarlyFire: true}} {
-				cfg.Faults = inj.Sample(i)
-				if err := checkReference(m, in, cfg); err != nil {
-					t.Fatalf("%s sample %d ef=%v: %v", name, i, cfg.EarlyFire, err)
+	eachKernel(t, func() {
+		loadFixture(t)
+		m := fixture.model()
+		for name, fc := range map[string]fault.Config{
+			"spike-faults":    {Seed: 11, Drop: 0.2, Jitter: 2, StuckSilent: 0.05, StuckFire: 0.02},
+			"threshold-noise": {Seed: 5, ThresholdNoise: 0.1},
+			"everything":      {Seed: 17, Drop: 0.15, Jitter: 1, StuckSilent: 0.03, ThresholdNoise: 0.05},
+		} {
+			inj, err := fault.New(fc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 15; i++ {
+				in := fixture.x.Data[i*256 : (i+1)*256]
+				for _, cfg := range []RunConfig{{}, {EarlyFire: true}} {
+					cfg.Faults = inj.Sample(i)
+					if err := checkReference(m, in, cfg); err != nil {
+						t.Fatalf("%s sample %d ef=%v: %v", name, i, cfg.EarlyFire, err)
+					}
 				}
 			}
 		}
-	}
+	})
 }

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/snn"
+import (
+	"fmt"
+
+	"repro/internal/snn"
+)
 
 // stageScatter is one stage's compact scatter form, the float engines'
 // only way to integrate a spike: it replays Stage.Scatter bit for bit
@@ -27,17 +31,28 @@ type stageScatter struct {
 	keyOf []int32
 	div   float64
 
-	// Dense stages scatter row key k straight from the stage weights,
-	// w[k·out : (k+1)·out] onto outputs 0..out−1; their tapOff is nil.
+	// Row key k = c·inPlane + p (input channel c, input position p)
+	// drives the taps taps[tapOff[p]:tapOff[p+1]] with the weight block
+	// w[c·chanLen:(c+1)·chanLen]: tap (j, w) adds s·w[tap.w+k] to
+	// pot[tap.j+k·step] for each of the out lanes k. checkTaps holds for
+	// every tap against outLen and chanLen.
 	//
-	// Conv stages hold the weights transposed to [InC][KH][KW][OutC] in
-	// w, and out = OutC. Input position p (= key mod InH·InW) drives the
-	// taps taps[tapOff[p]:tapOff[p+1]], one per kernel offset that lands
-	// inside the output: the tap's OutC weights start at w[c·chanLen +
-	// tap.w] for input channel c, and its outputs at tap.j, stepping by
-	// plane (OutH·OutW) from one output channel to the next.
+	// Conv stages hold the weights transposed to [InC][KH][KW][OutC],
+	// out = OutC, and one tap per kernel offset (kh, kw) that lands
+	// inside the output, so each lane is an output channel. A hidden
+	// stage keeps its potentials channel-last, [plane][OutC] with plane
+	// = OutH·OutW: a tap's OutC potentials are contiguous (step 1,
+	// tap.j = position·OutC), which the AVX kernel needs. The output
+	// stage's potentials are Result.Potentials, channel-first (tap.j =
+	// position, step = plane).
+	//
+	// A dense stage is the same form with inPlane 1 and one tap (0, 0):
+	// key k's block is its weight row w[k·out:(k+1)·out], out = OutLen,
+	// plane 1, step 1.
 	w       []float64
 	out     int
+	outLen  int
+	step    int
 	inPlane int
 	chanLen int
 	plane   int
@@ -46,15 +61,17 @@ type stageScatter struct {
 }
 
 // convTap is one kernel offset (kh, kw) reachable from an input
-// position: j is the output index of channel 0, w the offset of the
-// offset's OutC weights within an input channel's block.
+// position: j is the potential index of its lane 0, w the offset of
+// the offset's OutC weights within an input channel's block.
 type convTap struct {
 	j, w int32
 }
 
-// newStageScatter builds the scatter form of one stage.
+// newStageScatter builds the scatter form of one stage. It panics if a
+// tap table breaks checkTaps, which would let the AVX kernel write
+// outside the potentials.
 func newStageScatter(st *snn.Stage) stageScatter {
-	ss := stageScatter{div: 1}
+	ss := stageScatter{div: 1, outLen: st.OutLen, step: 1}
 	if p := st.PrePool; p != nil {
 		ss.div = float64(p.K * p.K)
 		ss.keyOf = make([]int32, st.InLen)
@@ -64,7 +81,9 @@ func newStageScatter(st *snn.Stage) stageScatter {
 		}
 	}
 	if st.Kind != snn.ConvStage {
-		ss.w, ss.out = st.W.Data, st.OutLen
+		// One tap (0, 0) over the whole row: checkTaps holds by construction.
+		ss.w, ss.out, ss.inPlane, ss.chanLen, ss.plane = st.W.Data, st.OutLen, 1, st.OutLen, 1
+		ss.tapOff, ss.taps = []int32{0, 1}, denseTaps
 		return ss
 	}
 
@@ -80,6 +99,10 @@ func newStageScatter(st *snn.Stage) stageScatter {
 			}
 		}
 	}
+	posStride := st.OutC // channel-last: position p's lanes start at p·OutC
+	if st.Output {
+		posStride, ss.step = 1, ss.plane
+	}
 	ss.tapOff = make([]int32, ss.inPlane+1)
 	for y := 0; y < g.InH; y++ {
 		for x := 0; x < g.InW; x++ {
@@ -90,12 +113,15 @@ func newStageScatter(st *snn.Stage) stageScatter {
 				}
 				for kw := 0; kw < g.KW; kw++ {
 					if ox, ok := convOut(x+g.Pad-kw, g.Stride, ow); ok {
-						ss.taps = append(ss.taps, convTap{j: int32(oy*ow + ox), w: int32((kh*g.KW + kw) * st.OutC)})
+						ss.taps = append(ss.taps, convTap{j: int32((oy*ow + ox) * posStride), w: int32((kh*g.KW + kw) * st.OutC)})
 					}
 				}
 			}
 			ss.tapOff[y*g.InW+x+1] = int32(len(ss.taps))
 		}
+	}
+	if err := checkTaps(ss.taps, ss.out, ss.step, ss.outLen, ss.chanLen); err != nil {
+		panic(fmt.Sprintf("%v (stage %s)", err, st.Name))
 	}
 	return ss
 }
@@ -119,33 +145,37 @@ func (ss *stageScatter) key(idx int) int {
 }
 
 // scatter integrates spikes at the pre-pool input indices idxs, in
-// order, each with per-spike scale, into pot: bit-identical to calling
-// st.Scatter(idx, scale, pot) for each idx.
+// order, each with per-spike scale, into pot (in the stage's layout):
+// bit-identical to calling st.Scatter(idx, scale, pot) for each idx on
+// channel-first potentials.
 func (ss *stageScatter) scatter(idxs []int, scale float64, pot []float64) {
 	s := scale / ss.div
-	if ss.tapOff == nil {
-		n := ss.out
-		pot = pot[:n]
-		for _, idx := range idxs {
-			row := ss.w[ss.key(idx)*n:][:n]
-			for j, w := range row {
-				pot[j] += s * w
-			}
-		}
-		return
-	}
-	out, plane := ss.out, ss.plane
+	pot = pot[:ss.outLen]
 	for _, idx := range idxs {
 		key := ss.key(idx)
 		c := key / ss.inPlane
 		pos := key - c*ss.inPlane
-		wc := ss.w[c*ss.chanLen:][:ss.chanLen]
-		for _, tp := range ss.taps[ss.tapOff[pos]:ss.tapOff[pos+1]] {
-			j := int(tp.j)
-			for _, w := range wc[tp.w:][:out] {
-				pot[j] += s * w
-				j += plane
-			}
+		scatterTaps(pot, ss.w[c*ss.chanLen:][:ss.chanLen], ss.taps[ss.tapOff[pos]:ss.tapOff[pos+1]], s, ss.out, ss.step)
+	}
+}
+
+// addBias adds the stage bias b to hidden potentials laid out
+// [plane][out], as Stage.AddBias does to channel-first ones.
+func (ss *stageScatter) addBias(pot, b []float64) {
+	for p := 0; p < ss.plane; p++ {
+		row := pot[p*ss.out:][:ss.out]
+		for oc, v := range b {
+			row[oc] += v
+		}
+	}
+}
+
+// channelFirst renumbers hidden spike times from the [plane][out]
+// layout of src into the channel-first layout of dst.
+func (ss *stageScatter) channelFirst(dst, src []int) {
+	for p := 0; p < ss.plane; p++ {
+		for oc, t := range src[p*ss.out:][:ss.out] {
+			dst[oc*ss.plane+p] = t
 		}
 	}
 }

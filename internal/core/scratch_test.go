@@ -166,17 +166,19 @@ func nil2model(t *testing.T, net *snn.Net) *Model {
 // the model's scatter tables are warm, the single-sample hot path
 // performs zero heap allocations.
 func TestInferWithZeroAllocs(t *testing.T) {
-	loadFixture(t)
-	m := fixture.model()
-	sc := NewInferScratch(m)
-	in := fixture.x.Data[:256]
-	for _, cfg := range []RunConfig{{}, {EarlyFire: true}} {
-		cfg := cfg
-		m.InferOne(in, cfg, InferOpts{Scratch: sc}) // warm tables + arenas
-		if n := testing.AllocsPerRun(20, func() { m.InferOne(in, cfg, InferOpts{Scratch: sc}) }); n != 0 {
-			t.Errorf("InferOne with scratch (earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
+	eachKernel(t, func() {
+		loadFixture(t)
+		m := fixture.model()
+		sc := NewInferScratch(m)
+		in := fixture.x.Data[:256]
+		for _, cfg := range []RunConfig{{}, {EarlyFire: true}} {
+			cfg := cfg
+			m.InferOne(in, cfg, InferOpts{Scratch: sc}) // warm tables + arenas
+			if n := testing.AllocsPerRun(20, func() { m.InferOne(in, cfg, InferOpts{Scratch: sc}) }); n != 0 {
+				t.Errorf("InferOne with scratch (earlyFire=%v) allocates %.1f/op, want 0", cfg.EarlyFire, n)
+			}
 		}
-	}
+	})
 }
 
 // TestInferBatchWithZeroAllocs is the batch gate: a steady-state batch

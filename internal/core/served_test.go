@@ -46,8 +46,10 @@ func loadServed(tb testing.TB) {
 // inputs on the served geometry, for each engine a served workload
 // runs: clocked (oneshot-clock-json), event with early exit
 // (stream-event-gw) and quant (oneshot-quant-gw), all with early firing
-// at T/2 on one warm scratch. The fixture nets of the other benchmarks
-// are 16×16 at T = 80; this is the shape a request actually pays for.
+// at T/2 on one warm scratch. clocked-efoff is clocked with early
+// firing off, so one run shows what early firing costs on a CPU. The
+// fixture nets of the other benchmarks are 16×16 at T = 80; this is the
+// shape a request actually pays for.
 func BenchmarkInferServed(b *testing.B) {
 	loadServed(b)
 	m := served.model
@@ -60,6 +62,7 @@ func BenchmarkInferServed(b *testing.B) {
 		engine EngineKind
 	}{
 		{"clocked", ef, EngineClocked},
+		{"clocked-efoff", RunConfig{}, EngineClocked},
 		{"event-earlyexit", exit, EngineEvent},
 		{"quant", ef, EngineQuant},
 	} {

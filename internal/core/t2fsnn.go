@@ -284,12 +284,10 @@ func (m *Model) encode(sc *InferScratch, input []float64, cfg RunConfig) (res Re
 // spike-time offsets into outTimes (len st.OutLen). The fire window of
 // this stage opens `adv` steps after its input's fire window opened.
 func (m *Model) runHiddenStage(sc *InferScratch, st *snn.Stage, inK, outK kernel.Kernel, inTimes, outTimes []int, adv int, res *Result, si int, cfg RunConfig) {
-	pot := sc.pot[:st.OutLen]
-	for i := range pot {
-		pot[i] = 0
-	}
-	st.AddBias(pot)
 	ss := &m.scatters()[si]
+	pot := sc.pot[:st.OutLen]
+	clear(pot)
+	ss.addBias(pot, st.B.Data)
 
 	// Bucket input spikes by arrival offset within the input window and
 	// tabulate the integration kernel and the threshold once (the LUTs
@@ -302,7 +300,17 @@ func (m *Model) runHiddenStage(sc *InferScratch, st *snn.Stage, inK, outK kernel
 	if cfg.Faults.HasThresholdNoise() {
 		noisy = func(f int) float64 { return cfg.Faults.Threshold(si+1, f, thr[f]) }
 	}
-	fired := fireSweep(pot, thr, dec, math.Inf(-1), buckets, outTimes, adv, scatter, noisy)
+	// The sweep numbers neurons as the potentials do ([plane][OutC] for
+	// conv). The input times are dead once bucketized, so their buffer
+	// takes the sweep's times before they are renumbered channel-first.
+	times, renumber := outTimes, ss.plane > 1 && ss.out > 1
+	if renumber {
+		times = inTimes[:cap(inTimes)][:st.OutLen]
+	}
+	fired := fireSweep(pot, thr, dec, math.Inf(-1), buckets, times, adv, scatter, noisy)
+	if renumber {
+		ss.channelFirst(outTimes, times)
+	}
 	m.commitBoundary(res, si+1, outTimes, fired, adv, cfg)
 }
 
@@ -318,10 +326,12 @@ func (m *Model) runHiddenStage(sc *InferScratch, st *snn.Stage, inK, outK kernel
 //
 // spent is a value no threshold test passes (-Inf for float64,
 // MinInt32 for int32): a neuron's potential is set to it when the
-// neuron fires, so later sweeps fail its u ≥ θ test without loading
-// outTimes. Hidden potentials are never read after the sweep, so this
-// changes no spike time. The outTimes[j] < 0 guard stays, because
-// int32 arrivals may wrap a spent accumulator back above θ.
+// neuron fires, so later sweeps fail its u ≥ θ test. Hidden potentials
+// are never read after the sweep, so this changes no spike time. Each
+// scan is nextFire: AVX-compared on float64 potentials, which need no
+// outTimes guard, while int32 keeps it because arrivals may wrap a
+// spent accumulator back above θ. Only candidates that pass the scan
+// reach the fire-step search below.
 //
 // thr[f] is θ(f) = θ₀·ε(f) on the accumulator grid, and it only falls.
 // Within a run of steps that no arrival touches the potentials are
@@ -347,12 +357,10 @@ func fireSweep[A float64 | int32](pot, thr, dec []A, spent A, buckets [][]int, o
 				scatter(off)
 			}
 			theta := noisy(f)
-			for j, u := range pot {
-				if u >= theta && outTimes[j] < 0 {
-					outTimes[j] = f
-					pot[j] = spent
-					fired++
-				}
+			for j := nextFire(pot, 0, theta, outTimes); j < len(pot); j = nextFire(pot, j+1, theta, outTimes) {
+				outTimes[j] = f
+				pot[j] = spent
+				fired++
 			}
 		}
 		return fired
@@ -371,20 +379,19 @@ func fireSweep[A float64 | int32](pot, thr, dec []A, spent A, buckets [][]int, o
 			f1 = t
 		}
 		last := thr[f1-1]
-		for j, u := range pot {
-			if u >= last && outTimes[j] < 0 {
-				lo, hi := f, f1-1 // invariant: u ≥ thr[hi]
-				for lo < hi {
-					if mid := int(uint(lo+hi) >> 1); u >= thr[mid] {
-						hi = mid
-					} else {
-						lo = mid + 1
-					}
+		for j := nextFire(pot, 0, last, outTimes); j < len(pot); j = nextFire(pot, j+1, last, outTimes) {
+			u := pot[j]
+			lo, hi := f, f1-1 // invariant: u ≥ thr[hi]
+			for lo < hi {
+				if mid := int(uint(lo+hi) >> 1); u >= thr[mid] {
+					hi = mid
+				} else {
+					lo = mid + 1
 				}
-				outTimes[j] = lo
-				pot[j] = spent
-				fired++
 			}
+			outTimes[j] = lo
+			pot[j] = spent
+			fired++
 		}
 		f = f1
 	}

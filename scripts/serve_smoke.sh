@@ -122,17 +122,20 @@ SRV=""
 # A -micro model (3072 inputs, one dense stage) makes request decode the
 # dominant per-request cost, so this leg measures the wire path itself:
 # the binary format must deliver >= 2x JSON's throughput, and the two
-# formats must produce bit-identical predictions sample by sample.
+# formats must produce bit-identical predictions sample by sample. Each
+# leg sends 5000 requests, so even the binary one (~6500-8300 req/s on 2
+# CPUs) runs for more than half a second: over shorter legs the ratio
+# swings with host stalls.
 "$BIN/snnc" -micro 3072 -o "$BIN/micro.t2f"
 "$BIN/snnserve" -addr "127.0.0.1:$PORT" -model micro="$BIN/micro.t2f" -batch 16 &
 SRV=$!
 
-WIRE_JSON="$("$BIN/snnload" -addr "http://127.0.0.1:$PORT" -dataset cifar10 -n 400 -c 12 -preds "$BIN/wire_json.preds")"
+WIRE_JSON="$("$BIN/snnload" -addr "http://127.0.0.1:$PORT" -dataset cifar10 -n 5000 -c 12 -preds "$BIN/wire_json.preds")"
 echo "$WIRE_JSON"
 WIRE_JSON_RESULT="$(echo "$WIRE_JSON" | grep '^RESULT ')"
 echo "$WIRE_JSON_RESULT" | grep -q ' err=0 ' || { echo "serve-smoke: FAIL (wire: JSON leg errors)"; exit 1; }
 
-WIRE_BIN="$("$BIN/snnload" -addr "http://127.0.0.1:$PORT" -dataset cifar10 -n 400 -c 12 -wire binary -preds "$BIN/wire_bin.preds")"
+WIRE_BIN="$("$BIN/snnload" -addr "http://127.0.0.1:$PORT" -dataset cifar10 -n 5000 -c 12 -wire binary -preds "$BIN/wire_bin.preds")"
 echo "$WIRE_BIN"
 WIRE_BIN_RESULT="$(echo "$WIRE_BIN" | grep '^RESULT ')"
 echo "$WIRE_BIN_RESULT" | grep -q ' err=0 ' || { echo "serve-smoke: FAIL (wire: binary leg errors)"; exit 1; }
